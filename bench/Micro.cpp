@@ -31,6 +31,7 @@
 #include "scenario/Spec.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
+#include "trace/Checker.h"
 #include "trace/Runner.h"
 #include "trace/StreamingChecker.h"
 
@@ -51,18 +52,23 @@ using namespace cliffedge;
 // -- Allocation-counting harness ---------------------------------------------
 //
 // Global operator new/delete replacements that count every heap allocation
-// while the flag is up. Bench-binary only (they never ship in the library);
-// BM_RoundProcessing_Allocs uses them to assert the steady-state data plane
-// runs allocation-free, and bench_compare gates the derived
-// round_processing_allocs_per_msg metric at <= 0.
+// and sum its requested bytes while the flag is up. Bench-binary only (they
+// never ship in the library). BM_RoundProcessing_Allocs uses the count to
+// assert the steady-state data plane runs allocation-free (gated as
+// round_processing_allocs_per_msg <= 0); BM_IdleJob uses the bytes to
+// assert an idle job's cost does not scale with the world (gated as
+// idle_job_alloc_mb).
 
 namespace {
 std::atomic<uint64_t> GAllocCount{0};
+std::atomic<uint64_t> GAllocBytes{0};
 std::atomic<bool> GAllocCounting{false};
 
 void *countedAlloc(std::size_t Size) {
-  if (GAllocCounting.load(std::memory_order_relaxed))
+  if (GAllocCounting.load(std::memory_order_relaxed)) {
     GAllocCount.fetch_add(1, std::memory_order_relaxed);
+    GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
+  }
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
@@ -150,6 +156,48 @@ void BM_EngineMillion_Des(benchmark::State &State) {
 // One iteration: the measurement of interest (peak RSS) is identical
 // every pass, and a full pass costs seconds at a million nodes.
 BENCHMARK(BM_EngineMillion_Des)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// -- Idle job: the per-job floor at a million nodes ---------------------------
+//
+// One job with an empty crash plan on torus:1000x1000, followed by the
+// batch check every campaign job runs (checkAll over toCheckInput). No
+// node is touched, so everything this allocates is the per-job floor the
+// engines and the checker pay regardless of the failure — paged per-node
+// stores make that O(touched) plus the one node-indexed crash-time array
+// of EngineResult. The alloc_mb counter is the heap bytes requested per
+// job (operator-new hook, deterministic on any host); bench_compare turns
+// the larger backend's into idle_job_alloc_mb and gates it.
+void BM_IdleJob(benchmark::State &State, engine::BackendKind Kind) {
+  static const graph::Graph G = graph::makeTorus(1000, 1000);
+  std::unique_ptr<engine::Engine> Eng = engine::makeEngine(Kind);
+  workload::CrashPlan Empty;
+  uint64_t Bytes = 0;
+  bool Ok = true;
+  for (auto _ : State) {
+    engine::EngineJob Job;
+    Job.G = &G;
+    Job.Plan = &Empty;
+    GAllocBytes.store(0, std::memory_order_relaxed);
+    GAllocCounting.store(true, std::memory_order_relaxed);
+    {
+      engine::EngineResult R = Eng->run(Job);
+      trace::CheckResult C = trace::checkAll(engine::toCheckInput(R, G));
+      Ok = Ok && R.Quiesced && R.Decisions.empty() && C.Ok;
+    }
+    GAllocCounting.store(false, std::memory_order_relaxed);
+    Bytes = GAllocBytes.load(std::memory_order_relaxed);
+  }
+  if (!Ok) {
+    State.SkipWithError("idle job did not quiesce cleanly");
+    return;
+  }
+  State.counters["alloc_mb"] =
+      static_cast<double>(Bytes) / (1024.0 * 1024.0);
+}
+BENCHMARK_CAPTURE(BM_IdleJob, des, engine::BackendKind::Des)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IdleJob, sharded, engine::BackendKind::Sharded)
+    ->Unit(benchmark::kMillisecond);
 
 graph::Region randomRegion(Rng &Rand, uint32_t Universe, size_t Size) {
   std::vector<NodeId> Ids;

@@ -123,12 +123,9 @@ int main() {
   //    just another admissible asynchronous schedule, which can even
   //    move a crash from "after agreement" to "mid-agreement" — the
   //    same freedom the paper's model always allowed.)
-  bool SameViews = Perfect.FinalMaxViews.size() == Faulted.FinalMaxViews.size();
-  for (NodeId N = 0; SameViews && N < Perfect.FinalMaxViews.size(); ++N) {
-    if (Perfect.Faulty.contains(N))
-      continue; // Faulty nodes freeze wherever the schedule caught them.
-    SameViews = Perfect.FinalMaxViews[N] == Faulted.FinalMaxViews[N];
-  }
+  // (Faulty nodes freeze wherever the schedule caught them.)
+  bool SameViews = engine::correctMaxViews(Perfect) ==
+                   engine::correctMaxViews(Faulted);
   std::printf("correct nodes converged to identical max_views: %s\n",
               SameViews ? "yes" : "NO");
 

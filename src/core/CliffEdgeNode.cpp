@@ -99,6 +99,7 @@ CliffEdgeNode::CliffEdgeNode(NodeId InSelf, const graph::Graph &InG,
 CliffEdgeNode::CliffEdgeNode(NodeId InSelf, NodeContext &InCtx)
     : Self(InSelf), Ctx(&InCtx) {}
 
+CliffEdgeNode::CliffEdgeNode() = default;
 CliffEdgeNode::CliffEdgeNode(CliffEdgeNode &&) noexcept = default;
 CliffEdgeNode &CliffEdgeNode::operator=(CliffEdgeNode &&) noexcept = default;
 CliffEdgeNode::~CliffEdgeNode() = default;

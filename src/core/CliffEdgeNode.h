@@ -43,11 +43,13 @@
 /// Memory layout: the paper's detection is border-local (§2.1) — in a
 /// large world almost every node only ever runs line 4 — so a node is
 /// split into a pointer-sized shell and its protocol tables. The shell
-/// (CliffEdgeNode itself, stored by value in the engines' node arrays) is
-/// ~32 bytes: id, flags and two pointers. The tables (NodeTables) hold
-/// everything Algorithm 1 mutates and are slab-allocated from the shared
-/// NodeContext on the node's *first* crash observation or delivery; a node
-/// the failure wave never reaches costs its shell and nothing else. All
+/// (CliffEdgeNode itself, stored by value in the engines' paged node
+/// stores) is ~32 bytes: id, flags and two pointers. The tables
+/// (NodeTables) hold everything Algorithm 1 mutates and are slab-allocated
+/// from the shared NodeContext on the node's *first* crash observation or
+/// delivery. The engines bind and start() a shell on that same first
+/// touch, so a node the failure wave never reaches costs nothing beyond
+/// its share of a page it may never get (support/PagedStore.h). All
 /// per-domain scratch (outgoing message, monitor set, reject scan) lives
 /// once in the NodeContext instead of once per node. Engines share one
 /// context per single-threaded execution domain (the whole DES run; one
@@ -268,6 +270,11 @@ public:
   /// Counters type, kept nested for source compatibility.
   using Counters = NodeCounters;
 
+  /// An unbound pristine shell: what a paged engine store holds for a
+  /// node the failure wave has not reached. Every accessor reports the
+  /// start()-state; it handles no events until replaced by a bound node.
+  CliffEdgeNode();
+
   /// Engine wiring: a node of a shared execution domain. The context must
   /// outlive the node.
   CliffEdgeNode(NodeId Self, NodeContext &Ctx);
@@ -302,6 +309,8 @@ public:
   // tables): they report the pristine start()-state.
 
   NodeId id() const { return Self; }
+  /// True once start() ran (false for an unbound shell).
+  bool started() const { return Started; }
   bool hasDecided() const { return T && T->Decided; }
   const graph::Region &decidedView() const {
     return T ? T->DecidedV : emptyRegion();
@@ -382,9 +391,9 @@ private:
 
   struct CompatBundle;
 
-  NodeId Self;
+  NodeId Self = InvalidNode;
   bool Started = false;
-  NodeContext *Ctx;         ///< The shared execution-domain context.
+  NodeContext *Ctx = nullptr; ///< The shared execution-domain context.
   NodeTables *T = nullptr;  ///< Lazily slab-allocated protocol tables.
   /// Set only by the legacy constructor: the private context kept alive
   /// for this node.

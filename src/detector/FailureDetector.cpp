@@ -20,14 +20,14 @@ PerfectFailureDetector::PerfectFailureDetector(sim::Simulator &InSim,
                                                DetectionDelayModel InDelay,
                                                NotifyFn InOnCrash)
     : Sim(InSim), Delay(std::move(InDelay)), OnCrash(std::move(InOnCrash)),
-      Crashed(NumNodes, false), Regs(NumNodes) {}
+      Crashed(NumNodes), Regs(NumNodes) {}
 
 PerfectFailureDetector::PerfectFailureDetector(sim::Simulator &InSim,
                                                const graph::Graph &G,
                                                DetectionDelayModel InDelay,
                                                NotifyFn InOnCrash)
     : Sim(InSim), Delay(std::move(InDelay)), OnCrash(std::move(InOnCrash)),
-      Crashed(G.numNodes(), false), Regs(G) {}
+      Crashed(G.numNodes()), Regs(G) {}
 
 void PerfectFailureDetector::monitor(NodeId Watcher,
                                      const graph::Region &Targets) {
@@ -48,7 +48,7 @@ void PerfectFailureDetector::monitor(NodeId Watcher,
 void PerfectFailureDetector::nodeCrashed(NodeId Node) {
   assert(Node < Crashed.size() && "node out of range");
   assert(!Crashed[Node] && "node crashed twice");
-  Crashed[Node] = true;
+  Crashed.mut(Node) = true;
   Regs.forEachWatcher(
       Node, [&](NodeId Watcher) { scheduleNotification(Watcher, Node); });
 }

@@ -28,6 +28,7 @@
 #include "graph/Region.h"
 #include "sim/Simulator.h"
 #include "support/Ids.h"
+#include "support/PagedStore.h"
 
 #include <functional>
 #include <vector>
@@ -82,7 +83,8 @@ private:
   sim::Simulator &Sim;
   DetectionDelayModel Delay;
   NotifyFn OnCrash;
-  std::vector<bool> Crashed;
+  /// Paged: only pages holding a crashed node materialize.
+  support::PagedStore<bool> Crashed;
   /// Who watches whom (explicit or graph-backed, per the constructor).
   SubscriptionRegistry Regs;
   uint64_t Delivered = 0;

@@ -22,16 +22,18 @@ EngineResult DesEngine::run(const EngineJob &Job) {
   EngineResult R;
   R.Events = Runner.run();
   R.Quiesced = Runner.simulator().idle();
-  R.Decisions = Runner.decisions();
   R.Faulty = Runner.faultySet();
+  // Scatter the plan's crashes; no per-node walk.
   R.CrashTimes.assign(Job.G->numNodes(), TimeNever);
-  for (NodeId N = 0; N < Job.G->numNodes(); ++N)
-    if (auto T = Runner.crashTime(N))
-      R.CrashTimes[N] = *T;
-  R.SendLog = Runner.sendLog();
+  for (NodeId N : R.Faulty)
+    R.CrashTimes[N] = *Runner.crashTime(N);
   R.Stats = Runner.netStats();
-  R.FinalMaxViews.reserve(Job.G->numNodes());
-  for (NodeId N = 0; N < Job.G->numNodes(); ++N)
-    R.FinalMaxViews.push_back(Runner.node(N).maxView());
+  Runner.forEachTouchedNode([&R](const core::CliffEdgeNode &Node) {
+    if (!Node.maxView().empty())
+      R.FinalMaxViews.emplace_back(Node.id(), Node.maxView());
+  });
+  // The runner dies with this scope: move its logs out instead of copying.
+  R.Decisions = Runner.takeDecisions();
+  R.SendLog = Runner.takeSendLog();
   return R;
 }

@@ -41,10 +41,18 @@ trace::CheckInput engine::toCheckInput(const EngineResult &R,
   trace::CheckInput In;
   In.G = &G;
   In.Faulty = R.Faulty;
-  In.CrashTimes = R.CrashTimes;
+  In.CrashTimesRef = &R.CrashTimes;
   In.Decisions = R.Decisions;
   In.SendLog = &R.SendLog;
   return In;
+}
+
+std::vector<NodeMaxView> engine::correctMaxViews(const EngineResult &R) {
+  std::vector<NodeMaxView> Out;
+  for (const NodeMaxView &E : R.FinalMaxViews)
+    if (!R.Faulty.contains(E.first))
+      Out.push_back(E);
+  return Out;
 }
 
 std::unique_ptr<Engine> engine::makeEngine(BackendKind K, EngineOptions Opts) {

@@ -38,6 +38,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cliffedge {
@@ -82,22 +83,34 @@ struct EngineJob {
   uint64_t Seed = 0;
 };
 
+/// One node's max_view at quiescence (see EngineResult::FinalMaxViews).
+using NodeMaxView = std::pair<NodeId, graph::Region>;
+
 /// Everything a finished run produced, as plain data. trace::Timeline and
 /// trace::Checker consume it via toCheckInput().
+///
+/// The result is sized by what the failure wave touched, not by the
+/// world: apart from CrashTimes, nothing here holds an entry per node.
 struct EngineResult {
   /// Every <decide|V,d> with provenance, in a backend-deterministic order.
   std::vector<trace::DecisionRecord> Decisions;
   /// All nodes the plan crashed.
   graph::Region Faulty;
   /// Crash time per node (TimeNever for correct nodes), indexed by id.
+  /// The one node-indexed array of a result: filled by scattering the
+  /// plan's crashes into a TimeNever-initialized vector.
   std::vector<SimTime> CrashTimes;
   /// Per-send records when RunnerOptions::RecordSends is on.
   std::vector<sim::SendRecord> SendLog;
-  /// Each node's max_view at quiescence, indexed by id. Correct nodes have
-  /// converged; faulty nodes' views are frozen wherever the interleaving
-  /// caught them.
-  std::vector<graph::Region> FinalMaxViews;
-  /// Transport statistics (sent/delivered/dropped/bytes, per-node sends).
+  /// Sparse final max_views: (node, max_view) for every node whose
+  /// max_view is non-empty at quiescence, ascending by node. A node
+  /// absent from the list ended with an empty max_view (it never observed
+  /// a crash). Correct nodes have converged; faulty nodes' views are
+  /// frozen wherever the interleaving caught them.
+  std::vector<NodeMaxView> FinalMaxViews;
+  /// Transport statistics (sent/delivered/dropped/bytes). Stats.SentByNode
+  /// is a paged counter: pages exist only around nodes that sent, and
+  /// SentByNode[N] reads 0 for every other node.
   sim::NetworkStats Stats;
   /// Events the backend processed (backend-specific unit of work).
   uint64_t Events = 0;
@@ -107,8 +120,15 @@ struct EngineResult {
 };
 
 /// Adapts a finished run for trace::Checker / trace::Timeline. The input
-/// borrows \p R's send log; keep \p R alive while the CheckInput is used.
+/// borrows \p R's crash times and send log (CheckInput::CrashTimesRef,
+/// CheckInput::SendLog) instead of copying them, so making it costs
+/// O(faulty + decisions); keep \p R alive while the CheckInput is used.
 trace::CheckInput toCheckInput(const EngineResult &R, const graph::Graph &G);
+
+/// The FinalMaxViews entries of correct nodes (faulty nodes' views freeze
+/// wherever the interleaving caught them, so only these must agree across
+/// backends and schedules).
+std::vector<NodeMaxView> correctMaxViews(const EngineResult &R);
 
 /// One execution backend. Engines are stateless between runs; run() may be
 /// called repeatedly with different jobs.

@@ -9,7 +9,10 @@
 // ---------------
 // Nodes are statically partitioned over S logical shards (node % S). Each
 // shard owns a binary heap of plain-struct events ordered by
-// (time, tie-break key, sequence). A run alternates two phases:
+// (time, tie-break key, sequence), and a paged store of its nodes' state
+// indexed by node / S: a page materializes on the first write to one of
+// its nodes, so a job pays for the nodes its failures touch, not for the
+// world. A run alternates two phases:
 //
 //  * process: every shard pops and handles all of its events carrying the
 //    globally earliest timestamp T. Handlers only touch the owning shard's
@@ -64,6 +67,7 @@
 #include "net/Link.h"
 #include "support/FlatHash.h"
 #include "support/FramePool.h"
+#include "support/PagedStore.h"
 #include "support/Sorted.h"
 #include "support/Random.h"
 #include "trace/StreamingChecker.h"
@@ -71,6 +75,8 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -128,8 +134,25 @@ struct OutTimer {
   NodeId Peer;
 };
 
+/// One node's engine state, kept in its shard's paged store.
+struct NodeSlot {
+  /// Unbound until the node's first event; then bound and started.
+  core::CliffEdgeNode Node;
+  /// Announce-once wire state. A node's multicasts all happen on its
+  /// owning shard's thread.
+  core::WireEncoder Encoder;
+  /// The plan's crash time (TimeNever for correct nodes).
+  SimTime CrashTime = TimeNever;
+  /// Set by the owning shard when the node's CrashExec fires.
+  bool Dead = false;
+};
+
 /// Per-shard state: owned nodes' events plus this round's outputs.
 struct Shard {
+  /// The shard's nodes, indexed by NodeId / NumShards. Shard-private, so
+  /// pages materialize without synchronization: during a round only the
+  /// owning worker writes it, and the merge (serial) only reads it.
+  support::PagedStore<NodeSlot> Slots;
   EventQueue Heap;
   /// Frame recycler for this shard's multicasts. Shard-local: workers
   /// acquire in parallel during the process phase; releases happen at the
@@ -190,17 +213,6 @@ struct RunState {
   /// NodeTables slab are single-threaded state, and a shard's nodes all
   /// run on one worker. unique_ptr because contexts are pinned (no moves).
   std::vector<std::unique_ptr<core::NodeContext>> Ctxs;
-  /// By-value node shells (~32 bytes each); protocol tables are carved
-  /// from the owning shard's slab on first failure contact.
-  std::vector<core::CliffEdgeNode> Nodes;
-  /// Per-sender wire encoders (announce-once state). A node's multicasts
-  /// all happen on its owning shard's thread, so entries are never
-  /// touched concurrently.
-  std::vector<core::WireEncoder> Encoders;
-  /// Set by the owning shard when a node's CrashExec fires; only the owner
-  /// shard ever reads or writes a node's flag during a round.
-  std::vector<uint8_t> Dead;
-  std::vector<SimTime> CrashTimes;
 
   // Merge-side (serial) state.
   SplitMix64 MergeRng;
@@ -229,8 +241,6 @@ struct RunState {
       : G(InG), Opts(InOpts), NumShards(InShards),
         Views(InG, InOpts.NodeConfig.Ranking), Shards(InShards),
         Host(*this),
-        Encoders(InG.numNodes(), core::WireEncoder(InOpts.WireVersion)),
-        Dead(InG.numNodes(), 0), CrashTimes(InG.numNodes(), TimeNever),
         MergeRng(Seed ^ 0x5368617264456e67ULL /* "ShardEng" */),
         TieSeed(SplitMix64(Seed ^ 0x4669666f54696523ULL).next()),
         Regs(InG),
@@ -249,9 +259,37 @@ struct RunState {
     }
     if (PlaneOn)
       Link.reset(new net::LinkModel(InOpts.Link, Seed, InOpts.LinkSalt));
+    // Shard s owns nodes s, s + S, s + 2S, ...: ceil((N - s) / S) slots.
+    for (uint32_t S = 0; S < InShards; ++S)
+      Shards[S].Slots = support::PagedStore<NodeSlot>(
+          S < InG.numNodes() ? (InG.numNodes() - S + InShards - 1) / InShards
+                             : 0);
   }
 
   uint32_t shardOf(NodeId N) const { return N % NumShards; }
+
+  /// Read-only view of \p N's slot (pristine when never written).
+  const NodeSlot &slot(NodeId N) const {
+    return Shards[shardOf(N)].Slots[N / NumShards];
+  }
+  /// Writable slot of \p N. Only the owning shard's worker during a
+  /// round, or the serial coordinator outside rounds, may call this.
+  NodeSlot &slotMut(NodeId N) {
+    return Shards[shardOf(N)].Slots.mut(N / NumShards);
+  }
+
+  /// The node about to handle an event: binds and starts it on first
+  /// touch (<init> only re-subscribes implicit neighbour pairs under the
+  /// graph-backed registry, so deferring it is unobservable).
+  core::CliffEdgeNode &liveNode(NodeId N) {
+    NodeSlot &S = slotMut(N);
+    if (!S.Node.started()) {
+      S.Node = core::CliffEdgeNode(N, *Ctxs[shardOf(N)]);
+      S.Encoder = core::WireEncoder(Opts.WireVersion);
+      S.Node.start();
+    }
+    return S.Node;
+  }
 
   /// Schedules \p E at merge time: assigns a fresh seeded tie-break key
   /// and the global sequence in deterministic merge order. Used for
@@ -274,7 +312,7 @@ struct RunState {
   }
 
   void processShard(uint32_t S, SimTime T);
-  void merge(SimTime T, bool IsStart);
+  void merge(SimTime T);
   void scheduleNotice(NodeId Watcher, NodeId Target, SimTime T);
 
   // --- Fault-plane helpers (merge phase only) ------------------------------
@@ -327,7 +365,7 @@ struct RunState {
     SH.TimerArmed = false;
     if (SH.Dead || SH.Window.empty())
       return; // All acked or peer gone: the timer lapses.
-    if (Dead[Peer]) {
+    if (slot(Peer).Dead) {
       SH.purge();
       return;
     }
@@ -368,7 +406,7 @@ void ShardHost::multicast(NodeId From, const graph::Region &To,
   // frame (and, after the merge's single decode, the parsed message).
   Shard &Sh = R.Shards[R.shardOf(From)];
   support::FrameRef Frame = Sh.Frames.acquire();
-  R.Encoders[From].encode(M, Frame.mutableBytes());
+  R.slotMut(From).Encoder.encode(M, Frame.mutableBytes());
   for (NodeId Recipient : To)
     Sh.OutMsgs.push_back(OutMsg{From, Recipient, Frame});
 }
@@ -397,7 +435,7 @@ void RunState::processShard(uint32_t S, SimTime T) {
     ++Sh.Processed;
     switch (E.K) {
     case Event::Deliver:
-      if (Dead[E.To]) {
+      if (slot(E.To).Dead) {
         ++Sh.Dropped;
         break;
       }
@@ -405,7 +443,7 @@ void RunState::processShard(uint32_t S, SimTime T) {
         // Zero-loss path, or the link-shaping-only configuration: the
         // frame carries no channel stamp.
         ++Sh.Delivered;
-        Nodes[E.To].onDeliver(E.From, *E.Msg);
+        liveNode(E.To).onDeliver(E.From, *E.Msg);
         break;
       }
       if (!Arq) {
@@ -417,7 +455,7 @@ void RunState::processShard(uint32_t S, SimTime T) {
                "perfect link delivered out of sequence");
         RH.CumSeq = E.ChanSeq;
         ++Sh.Delivered;
-        Nodes[E.To].onDeliver(E.From, *E.Msg);
+        liveNode(E.To).onDeliver(E.From, *E.Msg);
         break;
       }
       {
@@ -436,7 +474,7 @@ void RunState::processShard(uint32_t S, SimTime T) {
         case net::RecvVerdict::Deliver:
           for (MsgPtr &M : Sh.Released) {
             ++Sh.Delivered;
-            Nodes[E.To].onDeliver(E.From, *M);
+            liveNode(E.To).onDeliver(E.From, *M);
           }
           break;
         }
@@ -448,23 +486,23 @@ void RunState::processShard(uint32_t S, SimTime T) {
     case Event::AckFrame:
       // A pure ack died with a crashed recipient; otherwise stage it for
       // the merge to retire the (To -> From) window.
-      if (!Dead[E.To])
+      if (!slot(E.To).Dead)
         Sh.OutAcksSeen.push_back(OutAckSeen{E.To, E.From, E.ChanAck});
       break;
     case Event::TimerCheck:
       // Timer for channel (To -> From). A dead sender retransmits
       // nothing; its windows were purged when the crash merged.
-      if (!Dead[E.To])
+      if (!slot(E.To).Dead)
         Sh.OutTimers.push_back(OutTimer{E.To, E.From});
       break;
     case Event::CrashNotice:
       // Crashed watchers receive nothing (strong accuracy is structural:
       // notices are only ever scheduled for real crashes).
-      if (!Dead[E.To])
-        Nodes[E.To].onCrash(E.From);
+      if (!slot(E.To).Dead)
+        liveNode(E.To).onCrash(E.From);
       break;
     case Event::CrashExec:
-      Dead[E.To] = 1;
+      slotMut(E.To).Dead = true;
       Sh.OutCrashed.push_back(E.To);
       break;
     }
@@ -480,14 +518,11 @@ void RunState::scheduleNotice(NodeId Watcher, NodeId Target, SimTime T) {
   schedule(std::move(E));
 }
 
-void RunState::merge(SimTime T, bool IsStart) {
+void RunState::merge(SimTime T) {
   // A target counts as "already crashed" for late subscriptions once its
   // CrashExec has run — i.e. its crash time is <= the round that just
-  // finished. The start merge precedes every round, so nothing has crashed
-  // yet even when the plan crashes nodes at t=0.
-  auto CrashExecuted = [&](NodeId N) {
-    return !IsStart && CrashTimes[N] <= T;
-  };
+  // finished.
+  auto CrashExecuted = [&](NodeId N) { return slot(N).CrashTime <= T; };
 
   // Crashes first, then subscriptions: a watcher subscribing in the same
   // round a target died is notified by the subscription path (the crash
@@ -573,14 +608,14 @@ void RunState::merge(SimTime T, bool IsStart) {
         E.Bytes = static_cast<uint32_t>(
             net::wrappedFrameSize(M.Frame->size(), E.ChanSeq, E.ChanAck));
         ++Result.Stats.MessagesSent;
-        ++Result.Stats.SentByNode[M.From];
+        ++Result.Stats.SentByNode.mut(M.From);
         Result.Stats.BytesSent += E.Bytes;
         if (Opts.RecordSends)
           Result.SendLog.push_back(
               sim::SendRecord{T, M.From, M.To, E.Bytes});
         if (Opts.StreamingCheck)
           Opts.StreamingCheck->onSend(T, M.From, M.To, E.Bytes);
-        if (Dead[M.To] || SH.Dead)
+        if (slot(M.To).Dead || SH.Dead)
           continue; // Channels to a crashed peer are abandoned.
         SH.track(E.ChanSeq, T, SendPayload{Decoded, E.Bytes});
         if (!SH.TimerArmed) {
@@ -602,7 +637,7 @@ void RunState::merge(SimTime T, bool IsStart) {
         E.Bytes = PayloadBytes;
       }
       ++Result.Stats.MessagesSent;
-      ++Result.Stats.SentByNode[M.From];
+      ++Result.Stats.SentByNode.mut(M.From);
       Result.Stats.BytesSent += E.Bytes;
       if (Opts.RecordSends)
         Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, E.Bytes});
@@ -657,25 +692,38 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
                                  std::max<uint32_t>(G.numNodes(), 1));
 
   RunState Run(G, Options, NumShards, Job.Seed);
-  Run.Result.Stats.SentByNode.assign(G.numNodes(), 0);
+  Run.Result.Stats.SentByNode = sim::SendCounts(G.numNodes());
+  Run.Result.CrashTimes.assign(G.numNodes(), TimeNever);
 
-  // Protocol nodes over per-shard execution domains, effects routed
-  // through the engine's shared ShardHost into shard-local outboxes.
+  // Per-shard execution domains; nodes bind to their shard's context on
+  // first touch, effects route through the shared ShardHost into
+  // shard-local outboxes.
   Run.Ctxs.reserve(NumShards);
   for (uint32_t S = 0; S < NumShards; ++S)
     Run.Ctxs.emplace_back(new core::NodeContext(G, Run.Views,
                                                 Options.NodeConfig,
                                                 Run.Host));
-  Run.Nodes.reserve(G.numNodes());
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    Run.Nodes.emplace_back(N, *Run.Ctxs[Run.shardOf(N)]);
 
-  // Crash plan: known up front, scheduled before anything runs.
+  // Crash plan: known up front, scheduled before anything runs. A node
+  // outside the topology or named twice is a malformed plan; it would
+  // index past the shard stores or double-crash a node, so die loudly in
+  // every build type (the DES runner does the same).
   for (const workload::TimedCrash &C : Job.Plan->Crashes) {
-    assert(C.Node < G.numNodes() && "crash plan node out of range");
-    assert(Run.CrashTimes[C.Node] == TimeNever &&
-           "node scheduled to crash twice");
-    Run.CrashTimes[C.Node] = C.When;
+    if (C.Node >= G.numNodes()) {
+      std::fprintf(stderr,
+                   "cliffedge: crash plan names node %u, outside the "
+                   "%u-node topology\n",
+                   C.Node, G.numNodes());
+      std::abort();
+    }
+    if (Run.Result.Faulty.contains(C.Node)) {
+      std::fprintf(stderr,
+                   "cliffedge: crash plan schedules node %u twice\n",
+                   C.Node);
+      std::abort();
+    }
+    Run.slotMut(C.Node).CrashTime = C.When;
+    Run.Result.CrashTimes[C.Node] = C.When;
     Run.Result.Faulty.insert(C.Node);
     if (Options.StreamingCheck)
       Options.StreamingCheck->onCrash(C.Node, C.When);
@@ -687,11 +735,8 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
     Run.schedule(std::move(E));
   }
 
-  // <init> for every node, then a start merge (before any round: even a
-  // t=0 crash has not executed yet).
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    Run.Nodes[N].start();
-  Run.merge(0, /*IsStart=*/true);
+  // No <init> wave and no start merge: each node runs <init> on its first
+  // touch (liveNode), inside the round that delivers its first event.
 
   // Round loop: process the earliest timestamp everywhere, then merge.
   uint64_t TotalProcessed = 0;
@@ -720,7 +765,7 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
       TotalProcessed = 0;
       for (Shard &Sh : Run.Shards)
         TotalProcessed += Sh.Processed;
-      Run.merge(T, /*IsStart=*/false);
+      Run.merge(T);
     }
   } else {
     // Persistent worker team, generation-stepped: the coordinator publishes
@@ -781,7 +826,7 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
       TotalProcessed = 0;
       for (Shard &Sh : Run.Shards)
         TotalProcessed += Sh.Processed;
-      Run.merge(T, /*IsStart=*/false);
+      Run.merge(T);
     }
 
     {
@@ -803,7 +848,6 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
     Quiesced = false;
 
   EngineResult R = std::move(Run.Result);
-  R.CrashTimes = std::move(Run.CrashTimes);
   R.Events = TotalProcessed;
   R.Quiesced = Quiesced;
   R.Stats.Channel = Run.ChanStats;
@@ -812,8 +856,15 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
     R.Stats.MessagesDroppedAtCrashed += Sh.Dropped;
     R.Stats.Channel.merge(Sh.ChanStats);
   }
-  R.FinalMaxViews.reserve(G.numNodes());
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    R.FinalMaxViews.push_back(Run.Nodes[N].maxView());
+  // Touched nodes only, gathered shard by shard, then put in id order.
+  for (Shard &Sh : Run.Shards)
+    Sh.Slots.forEachMaterialized([&R](size_t, const NodeSlot &S) {
+      if (S.Node.started() && !S.Node.maxView().empty())
+        R.FinalMaxViews.emplace_back(S.Node.id(), S.Node.maxView());
+    });
+  std::sort(R.FinalMaxViews.begin(), R.FinalMaxViews.end(),
+            [](const NodeMaxView &A, const NodeMaxView &B) {
+              return A.first < B.first;
+            });
   return R;
 }

@@ -167,7 +167,7 @@ struct Network::FaultPlane {
 private:
   void record(NodeId From, NodeId To, size_t Bytes) {
     ++Net.Stats.MessagesSent;
-    ++Net.Stats.SentByNode[From];
+    ++Net.Stats.SentByNode.mut(From);
     Net.Stats.BytesSent += Bytes;
     if (Net.Recording)
       Net.SendLog.push_back(SendRecord{Net.Sim.now(), From, To,
@@ -248,8 +248,8 @@ private:
 };
 
 Network::Network(Simulator &InSim, uint32_t NumNodes, LatencyModel InLatency)
-    : Sim(InSim), Latency(std::move(InLatency)), Crashed(NumNodes, false) {
-  Stats.SentByNode.assign(NumNodes, 0);
+    : Sim(InSim), Latency(std::move(InLatency)), Crashed(NumNodes) {
+  Stats.SentByNode = SendCounts(NumNodes);
   // Deliveries ride the simulator's native delivery events — plain
   // (from, to, frame) records, no per-message closure allocation.
   Sim.setDeliver([this](NodeId From, NodeId To, const Frame &Payload) {
@@ -291,7 +291,7 @@ void Network::send(NodeId From, NodeId To, Frame Bytes) {
   }
 
   ++Stats.MessagesSent;
-  ++Stats.SentByNode[From];
+  ++Stats.SentByNode.mut(From);
   Stats.BytesSent += Bytes->size();
   if (Recording)
     SendLog.push_back(SendRecord{Sim.now(), From, To,
@@ -315,7 +315,7 @@ void Network::send(NodeId From, NodeId To, Frame Bytes) {
 
 void Network::crash(NodeId Node) {
   assert(Node < Crashed.size() && "node out of range");
-  Crashed[Node] = true;
+  Crashed.mut(Node) = true;
   if (Plane)
     Plane->onCrash(Node);
 }

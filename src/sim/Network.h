@@ -41,6 +41,7 @@
 #include "support/FlatHash.h"
 #include "support/FramePool.h"
 #include "support/Ids.h"
+#include "support/PagedStore.h"
 
 #include <cstdint>
 #include <functional>
@@ -49,6 +50,10 @@
 
 namespace cliffedge {
 namespace sim {
+
+/// Per-node send counters: paged, so only nodes that sent (or share a
+/// 512-id page with one) cost memory; every other id reads 0.
+using SendCounts = support::PagedStore<uint64_t>;
 
 /// Per-run transport statistics, the raw material of the locality benches.
 /// MessagesSent/BytesSent count *logical* protocol sends (with their
@@ -60,8 +65,9 @@ struct NetworkStats {
   uint64_t MessagesDelivered = 0;
   uint64_t MessagesDroppedAtCrashed = 0;
   uint64_t BytesSent = 0;
-  /// Per-node sent counters, indexed by NodeId.
-  std::vector<uint64_t> SentByNode;
+  /// Per-node sent counters, indexed by NodeId (SentByNode[N] reads 0 for
+  /// a node that never sent).
+  SendCounts SentByNode;
   /// Fault-plane counters; all zero when no fault plane is enabled.
   net::ChannelStats Channel;
 };
@@ -140,6 +146,8 @@ public:
 
   const NetworkStats &stats() const { return Stats; }
   const std::vector<SendRecord> &sendLog() const { return SendLog; }
+  /// Moves the send log out (a finished run handing over its products).
+  std::vector<SendRecord> takeSendLog() { return std::move(SendLog); }
   uint32_t numNodes() const { return static_cast<uint32_t>(Crashed.size()); }
 
 private:
@@ -152,7 +160,8 @@ private:
   /// Non-null only for lossy/armed runs; the zero-loss hot path costs one
   /// null check.
   std::unique_ptr<FaultPlane> Plane;
-  std::vector<bool> Crashed;
+  /// Paged: a node's page materializes when a node on it crashes.
+  support::PagedStore<bool> Crashed;
   /// Last scheduled delivery time per directed channel, for FIFO clamping.
   /// Flat open-addressing table: one probe per send, no node allocations.
   U64FlatMap<SimTime> LastDelivery;

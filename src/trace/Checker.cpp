@@ -23,10 +23,11 @@ CheckInput trace::makeCheckInput(const ScenarioRunner &Runner) {
   CheckInput In;
   In.G = &Runner.topology();
   In.Faulty = Runner.faultySet();
-  In.CrashTimes.assign(Runner.topology().numNodes(), TimeNever);
-  for (NodeId N = 0; N < Runner.topology().numNodes(); ++N)
-    if (auto T = Runner.crashTime(N))
-      In.CrashTimes[N] = *T;
+  if (!In.Faulty.empty()) {
+    In.CrashTimes.assign(size_t(In.Faulty.ids().back()) + 1, TimeNever);
+    for (NodeId N : In.Faulty)
+      In.CrashTimes[N] = *Runner.crashTime(N);
+  }
   In.Decisions = Runner.decisions();
   In.SendLog = &Runner.sendLog();
   return In;
@@ -101,8 +102,8 @@ void trace::checkViewAccuracyCD2(const CheckInput &In, CheckResult &Out) {
     }
     // Every member of the view must have crashed before the decision.
     for (NodeId Member : D.View)
-      if (In.CrashTimes[Member] == TimeNever ||
-          In.CrashTimes[Member] > D.When)
+      if (crashTimeOf(In, Member) == TimeNever ||
+          crashTimeOf(In, Member) > D.When)
         Out.fail(formatStr(
             "CD2: node %u decided view %s containing node %u which had "
             "not crashed at t=%llu",
@@ -144,7 +145,7 @@ void trace::checkBorderTerminationCD4(const CheckInput &In,
     Deciders.insert(D.Node);
   for (const DecisionRecord &D : In.Decisions) {
     for (NodeId Q : In.G->border(D.View)) {
-      bool Correct = In.CrashTimes[Q] == TimeNever;
+      bool Correct = crashTimeOf(In, Q) == TimeNever;
       if (Correct && !Deciders.count(Q))
         Out.fail(formatStr(
             "CD4: node %u decided on %s but correct border node %u never "
@@ -176,15 +177,26 @@ void trace::checkUniformAgreementCD5(const CheckInput &In,
 }
 
 void trace::checkViewConvergenceCD6(const CheckInput &In, CheckResult &Out) {
+  checkViewConvergenceCD6(
+      In.Decisions,
+      [&In](NodeId N) { return crashTimeOf(In, N) == TimeNever; }, Out);
+}
+
+void trace::checkViewConvergenceCD6(
+    const std::vector<DecisionRecord> &Decisions, const CorrectFn &IsCorrect,
+    CheckResult &Out) {
   // "If two correct nodes decide V and W, V and W intersecting implies
-  // V = W."
-  for (size_t I = 0; I < In.Decisions.size(); ++I) {
-    const DecisionRecord &A = In.Decisions[I];
-    if (In.CrashTimes[A.Node] != TimeNever)
+  // V = W." Correctness is asked once per decision, not once per pair.
+  std::vector<uint8_t> Correct(Decisions.size());
+  for (size_t I = 0; I < Decisions.size(); ++I)
+    Correct[I] = IsCorrect(Decisions[I].Node);
+  for (size_t I = 0; I < Decisions.size(); ++I) {
+    const DecisionRecord &A = Decisions[I];
+    if (!Correct[I])
       continue;
-    for (size_t J = I + 1; J < In.Decisions.size(); ++J) {
-      const DecisionRecord &B = In.Decisions[J];
-      if (In.CrashTimes[B.Node] != TimeNever)
+    for (size_t J = I + 1; J < Decisions.size(); ++J) {
+      const DecisionRecord &B = Decisions[J];
+      if (!Correct[J])
         continue;
       if (A.View.intersects(B.View) && A.View != B.View)
         Out.fail(formatStr(
@@ -196,16 +208,25 @@ void trace::checkViewConvergenceCD6(const CheckInput &In, CheckResult &Out) {
 }
 
 void trace::checkProgressCD7(const CheckInput &In, CheckResult &Out) {
-  if (In.Faulty.empty())
+  checkProgressCD7(
+      *In.G, In.Faulty, In.Decisions,
+      [&In](NodeId N) { return crashTimeOf(In, N) == TimeNever; }, Out);
+}
+
+void trace::checkProgressCD7(const graph::Graph &G,
+                             const graph::Region &Faulty,
+                             const std::vector<DecisionRecord> &Decisions,
+                             const CorrectFn &IsCorrect, CheckResult &Out) {
+  if (Faulty.empty())
     return;
-  std::vector<graph::Region> Domains = faultyDomains(*In.G, In.Faulty);
-  std::vector<size_t> Clusters = clusterDomains(*In.G, Domains);
+  std::vector<graph::Region> Domains = faultyDomains(G, Faulty);
+  std::vector<size_t> Clusters = clusterDomains(G, Domains);
   size_t NumClusters = 0;
   for (size_t C : Clusters)
     NumClusters = std::max(NumClusters, C + 1);
 
   std::set<NodeId> Deciders;
-  for (const DecisionRecord &D : In.Decisions)
+  for (const DecisionRecord &D : Decisions)
     Deciders.insert(D.Node);
 
   std::vector<NodeId> UnionScratch;
@@ -215,11 +236,10 @@ void trace::checkProgressCD7(const CheckInput &In, CheckResult &Out) {
     for (size_t I = 0; I < Domains.size() && !Satisfied; ++I) {
       if (Clusters[I] != Cluster)
         continue;
-      graph::Region Border = In.G->border(Domains[I]);
+      graph::Region Border = G.border(Domains[I]);
       ClusterBorder.unionInPlace(Border, UnionScratch);
       for (NodeId P : Border) {
-        bool Correct = In.CrashTimes[P] == TimeNever;
-        if (Correct && Deciders.count(P)) {
+        if (IsCorrect(P) && Deciders.count(P)) {
           Satisfied = true;
           break;
         }
@@ -248,10 +268,9 @@ CheckResult trace::checkAllBatch(const CheckInput &In) {
 
 CheckResult trace::checkNodeInvariants(const ScenarioRunner &Runner) {
   CheckResult Out;
-  const graph::Graph &G = Runner.topology();
   const graph::Region &Faulty = Runner.faultySet();
-  for (NodeId N = 0; N < G.numNodes(); ++N) {
-    const core::CliffEdgeNode &Node = Runner.node(N);
+  Runner.forEachTouchedNode([&](const core::CliffEdgeNode &Node) {
+    NodeId N = Node.id();
 
     if (!Node.locallyCrashed().isSubsetOf(Faulty))
       Out.fail(formatStr(
@@ -281,6 +300,6 @@ CheckResult trace::checkNodeInvariants(const ScenarioRunner &Runner) {
             N, Node.decidedView().str().c_str(),
             Node.locallyCrashed().str().c_str()));
     }
-  }
+  });
   return Out;
 }

@@ -35,6 +35,7 @@
 #include "sim/Network.h"
 #include "trace/Runner.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,14 +48,30 @@ struct CheckInput {
   /// All nodes that crashed during the run.
   graph::Region Faulty;
   /// Crash time per node (TimeNever for correct nodes), indexed by id.
+  /// May end early: ids at or past the end read as TimeNever (see
+  /// crashTimeOf), so producers can stop after the highest faulty id.
   std::vector<SimTime> CrashTimes;
+  /// Optional: a crash-time array of the same form owned by the producer
+  /// (engine::toCheckInput points it at the EngineResult's), read instead
+  /// of CrashTimes when set, so a check never copies an N-sized array.
+  const std::vector<SimTime> *CrashTimesRef = nullptr;
   /// Every decision, in emission order.
   std::vector<DecisionRecord> Decisions;
   /// Optional: full send log for CD3 (skipped when null).
   const std::vector<sim::SendRecord> *SendLog = nullptr;
 };
 
-/// Builds a CheckInput straight from a finished ScenarioRunner.
+/// Crash time of \p Node in \p In: TimeNever for correct nodes, including
+/// every id past the end of the crash-time array (In.CrashTimesRef when
+/// set, else In.CrashTimes).
+inline SimTime crashTimeOf(const CheckInput &In, NodeId Node) {
+  const std::vector<SimTime> &Times =
+      In.CrashTimesRef ? *In.CrashTimesRef : In.CrashTimes;
+  return Node < Times.size() ? Times[Node] : TimeNever;
+}
+
+/// Builds a CheckInput straight from a finished ScenarioRunner, in
+/// O(faulty + decisions): CrashTimes ends after the highest faulty id.
 CheckInput makeCheckInput(const ScenarioRunner &Runner);
 
 /// Result of checking one run.
@@ -88,6 +105,19 @@ void checkUniformAgreementCD5(const CheckInput &In, CheckResult &Out);
 void checkViewConvergenceCD6(const CheckInput &In, CheckResult &Out);
 void checkProgressCD7(const CheckInput &In, CheckResult &Out);
 
+/// A node-correctness oracle: true iff the node never crashed, in the
+/// batch checker's sense (crash time TimeNever).
+using CorrectFn = std::function<bool(NodeId)>;
+
+/// CD6 and CD7 over ground truth held outside a CheckInput — the
+/// streaming checker keeps crash times in its paged node store. Output is
+/// identical to the CheckInput overloads given the same correctness.
+void checkViewConvergenceCD6(const std::vector<DecisionRecord> &Decisions,
+                             const CorrectFn &IsCorrect, CheckResult &Out);
+void checkProgressCD7(const graph::Graph &G, const graph::Region &Faulty,
+                      const std::vector<DecisionRecord> &Decisions,
+                      const CorrectFn &IsCorrect, CheckResult &Out);
+
 /// Runs all seven checkers in one pass over the materialized trace. Kept
 /// as the reference implementation: checkAll produces identical output by
 /// replaying the trace through trace::StreamingChecker, and
@@ -100,7 +130,9 @@ CheckResult checkAllBatch(const CheckInput &In);
 CheckResult checkAll(const CheckInput &In);
 
 /// White-box per-node invariants at quiescence, using the protocol
-/// objects' introspection (beyond the paper's black-box properties):
+/// objects' introspection (beyond the paper's black-box properties).
+/// Walks only the nodes the run touched; an untouched node is in its
+/// start()-state and satisfies every invariant trivially.
 ///  * a decided node's proposal is still pinned to its decided view
 ///    (`proposed` is never reset after a decision);
 ///  * every crash a node observed really happened (end-to-end strong

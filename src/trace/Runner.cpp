@@ -40,11 +40,10 @@ ScenarioRunner::ScenarioRunner(const graph::Graph &InG, RunnerOptions InOpts)
       // implicit in the topology instead of an O(E) table copy.
       Detector(Sim, G, Opts.DetectionDelay,
                [this](NodeId Watcher, NodeId Target) {
-                 Nodes[Watcher].onCrash(Target);
+                 liveNode(Watcher).onCrash(Target);
                }),
       HostObj(*this), Ctx(G, Views, Opts.NodeConfig, HostObj),
-      Encoders(G.numNodes(), core::WireEncoder(Opts.WireVersion)),
-      CrashTimes(G.numNodes(), TimeNever) {
+      Slots(G.numNodes()) {
   Net.setRecording(Opts.RecordSends);
   Net.setMonotoneLatency(Opts.MonotoneLatency);
   if (Opts.StreamingCheck)
@@ -86,14 +85,18 @@ ScenarioRunner::ScenarioRunner(const graph::Graph &InG, RunnerOptions InOpts)
           LastFrame = Bytes.get();
           LastFrameGen = Bytes.generation();
         }
-        Nodes[To].onDeliver(From, RecvScratch);
+        liveNode(To).onDeliver(From, RecvScratch);
       });
+}
 
-  Nodes.reserve(G.numNodes());
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    Nodes.emplace_back(N, Ctx);
-  for (core::CliffEdgeNode &Node : Nodes)
-    Node.start();
+core::CliffEdgeNode &ScenarioRunner::liveNode(NodeId N) {
+  NodeSlot &S = Slots.mut(N);
+  if (!S.Node.started()) {
+    S.Node = core::CliffEdgeNode(N, Ctx);
+    S.Encoder = core::WireEncoder(Opts.WireVersion);
+    S.Node.start();
+  }
+  return S.Node;
 }
 
 void ScenarioRunner::Host::multicast(NodeId From, const graph::Region &To,
@@ -101,7 +104,7 @@ void ScenarioRunner::Host::multicast(NodeId From, const graph::Region &To,
   // Encode once into a pooled buffer; every recipient shares the same
   // immutable refcounted frame.
   support::FrameRef Frame = R.Pool.acquire();
-  R.Encoders[From].encode(M, Frame.mutableBytes());
+  R.Slots.mut(From).Encoder.encode(M, Frame.mutableBytes());
   for (NodeId Recipient : To)
     R.Net.send(From, Recipient, Frame);
 }
@@ -133,10 +136,23 @@ bool ScenarioRunner::Host::wantsEvents() const {
 }
 
 void ScenarioRunner::scheduleCrash(NodeId Node, SimTime When) {
-  assert(Node < G.numNodes() && "node out of range");
-  assert(!Faulty.contains(Node) && "node scheduled to crash twice");
+  // A malformed plan would index past the node store or crash a node
+  // twice (which the detector's own guard only asserts). Die loudly in
+  // every build type, like the wire-version guard above.
+  if (Node >= G.numNodes()) {
+    std::fprintf(stderr,
+                 "cliffedge: crash plan names node %u, outside the %u-node "
+                 "topology\n",
+                 Node, G.numNodes());
+    std::abort();
+  }
+  if (Faulty.contains(Node)) {
+    std::fprintf(stderr, "cliffedge: crash plan schedules node %u twice\n",
+                 Node);
+    std::abort();
+  }
   Faulty.insert(Node);
-  CrashTimes[Node] = When;
+  Slots.mut(Node).CrashTime = When;
   if (Opts.StreamingCheck)
     Opts.StreamingCheck->onCrash(Node, When);
   Sim.at(When, [this, Node]() {
@@ -154,15 +170,17 @@ void ScenarioRunner::scheduleCrashAll(const graph::Region &Nodes_,
 uint64_t ScenarioRunner::run() { return Sim.run(Opts.MaxEvents); }
 
 std::optional<SimTime> ScenarioRunner::crashTime(NodeId Node) const {
-  assert(Node < CrashTimes.size() && "node out of range");
-  if (CrashTimes[Node] == TimeNever)
+  assert(Node < G.numNodes() && "node out of range");
+  SimTime T = Slots[Node].CrashTime;
+  if (T == TimeNever)
     return std::nullopt;
-  return CrashTimes[Node];
+  return T;
 }
 
 core::CliffEdgeNode::Counters ScenarioRunner::totalCounters() const {
   core::CliffEdgeNode::Counters Total;
-  for (const core::CliffEdgeNode &Node : Nodes) {
+  // Untouched nodes count zero everywhere.
+  forEachTouchedNode([&Total](const core::CliffEdgeNode &Node) {
     const core::CliffEdgeNode::Counters &C = Node.counters();
     Total.CrashesObserved += C.CrashesObserved;
     Total.Proposals += C.Proposals;
@@ -171,7 +189,7 @@ core::CliffEdgeNode::Counters ScenarioRunner::totalCounters() const {
     Total.InstancesFailed += C.InstancesFailed;
     Total.EarlyTerminations += C.EarlyTerminations;
     Total.MessagesIgnored += C.MessagesIgnored;
-  }
+  });
   return Total;
 }
 

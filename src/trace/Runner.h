@@ -27,6 +27,7 @@
 #include "sim/Network.h"
 #include "sim/Simulator.h"
 #include "support/FramePool.h"
+#include "support/PagedStore.h"
 
 #include <functional>
 #include <memory>
@@ -139,7 +140,9 @@ public:
   explicit ScenarioRunner(const graph::Graph &G,
                           RunnerOptions Opts = RunnerOptions());
 
-  /// Schedules \p Node to crash at time \p When.
+  /// Schedules \p Node to crash at time \p When. A node outside the
+  /// topology or one already scheduled is a malformed plan: the runner
+  /// reports it and aborts, in every build type.
   void scheduleCrash(NodeId Node, SimTime When);
 
   /// Schedules every node of \p Nodes to crash at time \p When.
@@ -156,6 +159,11 @@ public:
     return Net.sendLog();
   }
 
+  /// Move the decisions / send log out, leaving them empty: for harvesting
+  /// a finished run that is about to be destroyed.
+  std::vector<DecisionRecord> takeDecisions() { return std::move(Decisions); }
+  std::vector<sim::SendRecord> takeSendLog() { return Net.takeSendLog(); }
+
   /// Timestamped protocol-internal transitions (when recording is on).
   const std::vector<TimedProtocolEvent> &protocolEvents() const {
     return ProtoEvents;
@@ -167,18 +175,50 @@ public:
   /// Crash time of \p Node, if it was scheduled to crash.
   std::optional<SimTime> crashTime(NodeId Node) const;
 
-  const core::CliffEdgeNode &node(NodeId Node) const { return Nodes[Node]; }
+  /// Introspection of one node. A node the failure wave never touched
+  /// reads as a pristine unbound shell (see forEachTouchedNode).
+  const core::CliffEdgeNode &node(NodeId Node) const {
+    return Slots[Node].Node;
+  }
+
+  /// Calls F(const CliffEdgeNode &) for every node the run bound — every
+  /// node that handled an event — in ascending id order. Every other node
+  /// is in its pristine start()-state. O(touched pages).
+  template <typename Fn> void forEachTouchedNode(Fn &&F) const {
+    Slots.forEachMaterialized([&](size_t, const NodeSlot &S) {
+      if (S.Node.started())
+        F(S.Node);
+    });
+  }
   const graph::Graph &topology() const { return G; }
   sim::Simulator &simulator() { return Sim; }
   core::ViewTable &viewTable() { return Views; }
 
-  /// Sum of a per-node counter over all nodes, e.g. total proposals.
+  /// Sum of a per-node counter over all (touched) nodes, e.g. total
+  /// proposals.
   core::CliffEdgeNode::Counters totalCounters() const;
 
   /// Time of the last decision (0 when nobody decided).
   SimTime lastDecisionTime() const;
 
 private:
+  /// Everything the runner keeps per node, in one paged store: a page
+  /// materializes on the first write to any of its nodes (a crash
+  /// scheduled, or a node bound on its first event).
+  struct NodeSlot {
+    /// Unbound until the node's first event; then bound and started.
+    core::CliffEdgeNode Node;
+    /// Per-sender announce state for the wire encoder.
+    core::WireEncoder Encoder;
+    SimTime CrashTime = TimeNever;
+  };
+
+  /// The node about to handle an event: binds and starts it on first
+  /// touch. Under the graph-backed detector <init> (line 4) only
+  /// re-subscribes implicit neighbour pairs, so deferring it to the first
+  /// event changes nothing observable.
+  core::CliffEdgeNode &liveNode(NodeId N);
+
   /// The runner's core::NodeHost: one object serves every node — effects
   /// arrive tagged with the acting node's id, so there is no per-node
   /// callback state at all (the old wiring carried five std::functions
@@ -211,14 +251,12 @@ private:
   Host HostObj;
   /// The run's single execution domain: shared scratch and the NodeTables
   /// slab (the DES run is single-threaded, so one context serves all
-  /// nodes). Must be declared before Nodes and after everything Host
+  /// nodes). Must be declared before Slots and after everything Host
   /// effects touch.
   core::NodeContext Ctx;
-  /// By-value node shells (~32 bytes each); protocol tables live in Ctx's
-  /// slab and only exist for nodes the failure wave touched.
-  std::vector<core::CliffEdgeNode> Nodes;
-  /// Per-sender announce state for the wire encoder.
-  std::vector<core::WireEncoder> Encoders;
+  /// Per-node shells, encoders and crash times; protocol tables live in
+  /// Ctx's slab. Both exist only where the failure wave went.
+  support::PagedStore<NodeSlot> Slots;
   /// Decode-side: one decode per frame, shared by all recipients of the
   /// multicast (legs of one frame arrive back to back). The (buffer,
   /// generation) pair guards against pool recycling.
@@ -228,7 +266,6 @@ private:
   std::vector<DecisionRecord> Decisions;
   std::vector<TimedProtocolEvent> ProtoEvents;
   graph::Region Faulty;
-  std::vector<SimTime> CrashTimes;
 };
 
 } // namespace trace

@@ -69,37 +69,52 @@ std::string cd5Text(const DecisionRecord &P, const DecisionRecord &Q) {
 } // namespace
 
 StreamingChecker::StreamingChecker(const graph::Graph &InG)
-    : G(InG), CrashTimes(InG.numNodes(), TimeNever),
-      Crashed(InG.numNodes(), false), DecideCount(InG.numNodes(), 0),
-      DomainParent(InG.numNodes(), 0), Cd2Pending(InG.numNodes()),
-      Cd4Pending(InG.numNodes()), BorderIndex(InG.numNodes()),
-      DecidedOrdinals(InG.numNodes()), WaveParent(InG.numNodes(), 0),
-      WaveSlotOf(InG.numNodes(), 0), BorderWaves(InG.numNodes()),
-      IsTouched(InG.numNodes(), false) {}
+    : G(InG), Nodes(InG.numNodes()) {}
 
 StreamingChecker::~StreamingChecker() = default;
 
-void StreamingChecker::touch(NodeId Node) {
-  if (!IsTouched[Node]) {
-    IsTouched[Node] = true;
+StreamingChecker::NodeRec &StreamingChecker::touch(NodeId Node) {
+  NodeRec &R = Nodes.mut(Node);
+  if (!R.Touched) {
+    R.Touched = true;
     Touched.push_back(Node);
   }
+  return R;
 }
 
-NodeId StreamingChecker::domainRoot(NodeId Node) const {
-  std::vector<NodeId> &P = DomainParent;
-  while (P[Node] != Node) {
-    P[Node] = P[P[Node]];
-    Node = P[Node];
+const StreamingChecker::NodeLists &
+StreamingChecker::listsOf(NodeId Node) const {
+  static const NodeLists Empty;
+  uint32_t Slot = Nodes[Node].Lists;
+  return Slot ? ListPool[Slot - 1] : Empty;
+}
+
+StreamingChecker::NodeLists &StreamingChecker::lists(NodeId Node) {
+  NodeRec &R = touch(Node);
+  if (!R.Lists) {
+    if (ListsUsed == ListPool.size())
+      ListPool.emplace_back();
+    R.Lists = ++ListsUsed;
+  }
+  return ListPool[R.Lists - 1];
+}
+
+// Union-find roots with path halving. Parents are only ever followed
+// from crashed (hence touched, materialized) nodes.
+NodeId StreamingChecker::domainRoot(NodeId Node) {
+  while (Nodes[Node].DomainParent != Node) {
+    NodeRec &R = Nodes.mut(Node);
+    R.DomainParent = Nodes[R.DomainParent].DomainParent;
+    Node = R.DomainParent;
   }
   return Node;
 }
 
-NodeId StreamingChecker::waveRoot(NodeId Node) const {
-  std::vector<NodeId> &P = WaveParent;
-  while (P[Node] != Node) {
-    P[Node] = P[P[Node]];
-    Node = P[Node];
+NodeId StreamingChecker::waveRoot(NodeId Node) {
+  while (Nodes[Node].WaveParent != Node) {
+    NodeRec &R = Nodes.mut(Node);
+    R.WaveParent = Nodes[R.WaveParent].WaveParent;
+    Node = R.WaveParent;
   }
   return Node;
 }
@@ -119,44 +134,45 @@ void StreamingChecker::noteState() {
 
 void StreamingChecker::onCrash(NodeId Node, SimTime When) {
   assert(Node < G.numNodes() && "crash out of range");
-  if (Crashed[Node])
+  if (crashed(Node))
     return; // Crash-stop: at most one crash per node per epoch.
-  Crashed[Node] = true;
-  CrashTimes[Node] = When;
+  NodeRec &R = touch(Node);
+  R.Crashed = true;
+  R.CrashTime = When;
   Faulty.insert(Node);
   ++Stats.CrashesSeen;
-  touch(Node);
 
   // CD3 domains: plain connectivity of the faulty set. Merging only grows
   // a domain's scope (anything bordering a part borders the union), which
   // is what makes the eager covered-send drop in onSend sound.
-  DomainParent[Node] = Node;
+  R.DomainParent = Node;
   for (NodeId W : G.adj(Node))
-    if (Crashed[W]) {
+    if (crashed(W)) {
       NodeId Ra = domainRoot(Node), Rb = domainRoot(W);
       if (Ra != Rb)
-        DomainParent[Ra] = Rb;
+        Nodes.mut(Ra).DomainParent = Rb;
     }
 
   // CD2: view memberships waiting on this node's crash resolve now. The
   // batch text fires both for never-crashed and crashed-too-late members,
   // so a TimeNever "crash" (hand-built faulty set, no time) violates too.
-  if (!Cd2Pending[Node].empty()) {
-    for (const auto &[Ord, Pos] : Cd2Pending[Node])
+  if (R.Lists) {
+    NodeLists &L = ListPool[R.Lists - 1];
+    for (const auto &[Ord, Pos] : L.Cd2Pending)
       if (When == TimeNever || When > Decisions[Ord].When)
         ViolCd2.push_back(
             Keyed{Ord, 1, Pos, cd2MemberText(Decisions[Ord], Node)});
-    Cd2PendingCount -= Cd2Pending[Node].size();
-    Cd2Pending[Node].clear();
-  }
+    Cd2PendingCount -= L.Cd2Pending.size();
+    L.Cd2Pending.clear();
 
-  // CD4 quantifies over *correct* border nodes: a real crash voids every
-  // obligation on this node. A TimeNever crash does not — the batch
-  // checker's correctness test is CrashTimes == TimeNever, so such a node
-  // still owes its decisions.
-  if (When != TimeNever && !Cd4Pending[Node].empty()) {
-    Cd4PendingCount -= Cd4Pending[Node].size();
-    Cd4Pending[Node].clear();
+    // CD4 quantifies over *correct* border nodes: a real crash voids
+    // every obligation on this node. A TimeNever crash does not — the
+    // batch checker's correctness test is CrashTimes == TimeNever, so
+    // such a node still owes its decisions.
+    if (When != TimeNever) {
+      Cd4PendingCount -= L.Cd4Pending.size();
+      L.Cd4Pending.clear();
+    }
   }
 
   crashIntoWaves(Node, When);
@@ -168,7 +184,7 @@ bool StreamingChecker::sendCovered(NodeId From, NodeId To) {
   // Domains hold crashed nodes only and borders live nodes only (a
   // crashed neighbour of a domain is *in* the domain by connectivity), so
   // the four cases split on the endpoints' crash state.
-  bool FromCrashed = Crashed[From], ToCrashed = Crashed[To];
+  bool FromCrashed = crashed(From), ToCrashed = crashed(To);
   if (FromCrashed && ToCrashed)
     return domainRoot(From) == domainRoot(To);
   if (FromCrashed || ToCrashed) {
@@ -176,14 +192,14 @@ bool StreamingChecker::sendCovered(NodeId From, NodeId To) {
     NodeId Live = FromCrashed ? To : From;
     NodeId Root = domainRoot(InDomain);
     for (NodeId W : G.adj(Live))
-      if (Crashed[W] && domainRoot(W) == Root)
+      if (crashed(W) && domainRoot(W) == Root)
         return true;
     return false;
   }
   // Both live: one domain must border both.
   RootScratch.clear();
   for (NodeId W : G.adj(From))
-    if (Crashed[W]) {
+    if (crashed(W)) {
       NodeId R = domainRoot(W);
       if (std::find(RootScratch.begin(), RootScratch.end(), R) ==
           RootScratch.end())
@@ -192,7 +208,7 @@ bool StreamingChecker::sendCovered(NodeId From, NodeId To) {
   if (RootScratch.empty())
     return false;
   for (NodeId W : G.adj(To))
-    if (Crashed[W] &&
+    if (crashed(W) &&
         std::find(RootScratch.begin(), RootScratch.end(), domainRoot(W)) !=
             RootScratch.end())
       return true;
@@ -220,19 +236,19 @@ void StreamingChecker::onDecision(NodeId Node, const graph::Region &View,
   assert(Node < G.numNodes() && "decision out of range");
   uint64_t Ord = Decisions.size();
   ++Stats.DecisionsSeen;
-  touch(Node);
+  uint32_t PriorDecisions = touch(Node).DecideCount;
 
   // Wave retirement, before this decision is booked (the Undecided
   // counters were built against the pre-decision DecideCount).
-  if (DecideCount[Node] == 0 && !BorderWaves[Node].empty()) {
+  if (PriorDecisions == 0 && !listsOf(Node).BorderWaves.empty()) {
     RootScratch.clear();
-    for (NodeId R0 : BorderWaves[Node]) {
+    for (NodeId R0 : listsOf(Node).BorderWaves) {
       NodeId R = waveRoot(R0);
       if (std::find(RootScratch.begin(), RootScratch.end(), R) !=
           RootScratch.end())
         continue;
       RootScratch.push_back(R);
-      Wave &W = Waves[WaveSlotOf[R]];
+      Wave &W = Waves[Nodes[R].WaveSlot];
       if (!W.Alive || !W.Border.contains(Node))
         continue;
       if (W.LastDecision < When)
@@ -244,16 +260,17 @@ void StreamingChecker::onDecision(NodeId Node, const graph::Region &View,
   }
 
   // CD1: strictly at most one decision per node, flagged on the repeat.
-  if (DecideCount[Node] > 0)
+  if (PriorDecisions > 0)
     ViolCd1.push_back(Keyed{
         Ord, 0, 0, formatStr("CD1: node %u decided more than once", Node)});
-  ++DecideCount[Node];
+  ++Nodes.mut(Node).DecideCount;
 
   // CD4 discharge: any obligation on this node is met by deciding,
   // whatever it decides (CD7's "p decides" reading, see Checker.h).
-  if (!Cd4Pending[Node].empty()) {
-    Cd4PendingCount -= Cd4Pending[Node].size();
-    Cd4Pending[Node].clear();
+  if (!listsOf(Node).Cd4Pending.empty()) {
+    NodeLists &L = lists(Node);
+    Cd4PendingCount -= L.Cd4Pending.size();
+    L.Cd4Pending.clear();
   }
 
   Decisions.push_back(DecisionRecord{Node, View, Chosen, When});
@@ -274,13 +291,12 @@ void StreamingChecker::onDecision(NodeId Node, const graph::Region &View,
   } else {
     uint64_t Pos = 0;
     for (NodeId Member : View) {
-      if (!Crashed[Member]) {
-        Cd2Pending[Member].push_back(
+      if (!crashed(Member)) {
+        lists(Member).Cd2Pending.push_back(
             {static_cast<uint32_t>(Ord), static_cast<uint32_t>(Pos)});
         ++Cd2PendingCount;
-        touch(Member);
-      } else if (CrashTimes[Member] == TimeNever ||
-                 CrashTimes[Member] > When) {
+      } else if (Nodes[Member].CrashTime == TimeNever ||
+                 Nodes[Member].CrashTime > When) {
         ViolCd2.push_back(Keyed{Ord, 1, Pos, cd2MemberText(D, Member)});
       }
       ++Pos;
@@ -297,11 +313,11 @@ void StreamingChecker::onDecision(NodeId Node, const graph::Region &View,
   {
     uint32_t Pos = 0;
     for (NodeId Q : B) {
-      bool ReallyCrashed = Crashed[Q] && CrashTimes[Q] != TimeNever;
-      if (!ReallyCrashed && DecideCount[Q] == 0) {
-        Cd4Pending[Q].push_back({static_cast<uint32_t>(Ord), Pos});
+      const NodeRec &RQ = Nodes[Q];
+      bool ReallyCrashed = RQ.Crashed && RQ.CrashTime != TimeNever;
+      if (!ReallyCrashed && RQ.DecideCount == 0) {
+        lists(Q).Cd4Pending.push_back({static_cast<uint32_t>(Ord), Pos});
         ++Cd4PendingCount;
-        touch(Q);
       }
       ++Pos;
     }
@@ -312,18 +328,17 @@ void StreamingChecker::onDecision(NodeId Node, const graph::Region &View,
   // then as Q against every prior decision whose border contains this
   // node. Uniformity is why the indices must outlive retirement: a
   // decider that later crashes still binds its border.
-  DecidedOrdinals[Node].push_back(static_cast<uint32_t>(Ord));
+  lists(Node).DecidedOrdinals.push_back(static_cast<uint32_t>(Ord));
   for (NodeId N2 : B)
-    for (uint32_t J : DecidedOrdinals[N2])
+    for (uint32_t J : listsOf(N2).DecidedOrdinals)
       if (Decisions[J].View != View || Decisions[J].Chosen != Chosen)
         ViolCd5.push_back(Keyed{Ord, J, 0, cd5Text(D, Decisions[J])});
-  for (uint32_t I : BorderIndex[Node])
+  for (uint32_t I : listsOf(Node).BorderIndex)
     if (Decisions[I].View != View || Decisions[I].Chosen != Chosen)
       ViolCd5.push_back(Keyed{I, Ord, 0, cd5Text(Decisions[I], D)});
   for (NodeId N2 : B) {
-    BorderIndex[N2].push_back(static_cast<uint32_t>(Ord));
+    lists(N2).BorderIndex.push_back(static_cast<uint32_t>(Ord));
     ++BorderIndexCount;
-    touch(N2);
   }
 
   noteState();
@@ -341,30 +356,34 @@ void StreamingChecker::crashIntoWaves(NodeId Node, SimTime When) {
       RootScratch.push_back(R);
   };
   for (NodeId W : G.adj(Node))
-    if (Crashed[W] && W != Node)
+    if (crashed(W) && W != Node)
       AddRoot(waveRoot(W));
-  for (NodeId R0 : BorderWaves[Node])
-    AddRoot(waveRoot(R0));
-  BorderWaves[Node].clear();
+  if (Nodes[Node].Lists) {
+    std::vector<NodeId> &Mine = ListPool[Nodes[Node].Lists - 1].BorderWaves;
+    for (NodeId R0 : Mine)
+      AddRoot(waveRoot(R0));
+    Mine.clear();
+  }
 
   uint64_t OpenBefore = 0;
   for (NodeId R : RootScratch) {
-    const Wave &W = Waves[WaveSlotOf[R]];
+    const Wave &W = Waves[Nodes[R].WaveSlot];
     if (W.Alive && W.Undecided > 0)
       ++OpenBefore;
   }
 
-  WaveParent[Node] = Node;
   uint32_t Slot = static_cast<uint32_t>(Waves.size());
+  NodeRec &Rec = Nodes.mut(Node); // Touched by onCrash already.
+  Rec.WaveParent = Node;
+  Rec.WaveSlot = Slot;
   Waves.push_back(Wave());
-  WaveSlotOf[Node] = Slot;
   Wave &W = Waves[Slot]; // Stable: no further growth below.
   W.Alive = true;
   W.FirstCrash = When;
 
   for (NodeId R : RootScratch) {
-    WaveParent[R] = Node;
-    Wave &Old = Waves[WaveSlotOf[R]];
+    Nodes.mut(R).WaveParent = Node;
+    Wave &Old = Waves[Nodes[R].WaveSlot];
     W.Border.unionInPlace(Old.Border, Scratch);
     if (Old.FirstCrash < W.FirstCrash)
       W.FirstCrash = Old.FirstCrash;
@@ -377,15 +396,14 @@ void StreamingChecker::crashIntoWaves(NodeId Node, SimTime When) {
 
   W.Border.erase(Node);
   for (NodeId N2 : G.adj(Node))
-    if (!Crashed[N2]) {
+    if (!crashed(N2)) {
       W.Border.insert(N2);
-      BorderWaves[N2].push_back(Node);
-      touch(N2);
+      lists(N2).BorderWaves.push_back(Node);
     }
 
   W.Undecided = 0;
   for (NodeId M : W.Border)
-    if (DecideCount[M] == 0)
+    if (Nodes[M].DecideCount == 0)
       ++W.Undecided;
   OpenWaves = OpenWaves - OpenBefore + (W.Undecided > 0 ? 1 : 0);
 }
@@ -398,9 +416,10 @@ CheckResult StreamingChecker::sealEpoch() {
   // members that never decided. Touched covers every node with pendings;
   // emission order does not matter, the keys restore batch order.
   for (NodeId N : Touched) {
-    for (const auto &[Ord, Pos] : Cd2Pending[N])
+    const NodeLists &L = listsOf(N);
+    for (const auto &[Ord, Pos] : L.Cd2Pending)
       ViolCd2.push_back(Keyed{Ord, 1, Pos, cd2MemberText(Decisions[Ord], N)});
-    for (const auto &[Ord, Pos] : Cd4Pending[N])
+    for (const auto &[Ord, Pos] : L.Cd4Pending)
       ViolCd4.push_back(Keyed{Ord, Pos, 0, cd4Text(Decisions[Ord], N)});
   }
 
@@ -423,22 +442,22 @@ CheckResult StreamingChecker::sealEpoch() {
   // Seal-time properties run the batch code over the retained state —
   // CD3 over the pending (still-uncovered) sends only, in send order;
   // CD6/CD7 need final correctness, unknowable before the repair.
-  CheckInput In;
-  In.G = &G;
-  In.Faulty = Faulty;
-  In.CrashTimes.swap(CrashTimes);
-  In.Decisions.swap(Decisions);
-  In.SendLog = &PendingSends;
-  if (!PendingSends.empty())
+  if (!PendingSends.empty()) {
+    CheckInput In;
+    In.G = &G;
+    In.Faulty = Faulty;
+    In.SendLog = &PendingSends;
     checkLocalityCD3(In, Out);
+  }
 
   Emit(ViolCd4);
   Emit(ViolCd5);
 
-  checkViewConvergenceCD6(In, Out);
-  checkProgressCD7(In, Out);
-  CrashTimes.swap(In.CrashTimes);
-  Decisions.swap(In.Decisions);
+  CorrectFn IsCorrect = [this](NodeId N) {
+    return Nodes[N].CrashTime == TimeNever;
+  };
+  checkViewConvergenceCD6(Decisions, IsCorrect, Out);
+  checkProgressCD7(G, Faulty, Decisions, IsCorrect, Out);
 
   // Retire every wave that saw a decision into the latency samples; the
   // epoch repair closes whatever was still open.
@@ -451,18 +470,20 @@ CheckResult StreamingChecker::sealEpoch() {
   Stats.ViolationsSeen += Out.Violations.size();
   ++Stats.EpochsSealed;
 
-  // Per-epoch reset, O(touched state) not O(graph).
-  for (NodeId N : Touched) {
-    CrashTimes[N] = TimeNever;
-    Crashed[N] = false;
-    DecideCount[N] = 0;
-    Cd2Pending[N].clear();
-    Cd4Pending[N].clear();
-    BorderIndex[N].clear();
-    DecidedOrdinals[N].clear();
-    BorderWaves[N].clear();
-    IsTouched[N] = false;
+  // Per-epoch reset, O(touched state) not O(graph): touched records go
+  // back to pristine (their pages stay for the next epoch), pooled lists
+  // are emptied with their capacity kept.
+  for (NodeId N : Touched)
+    Nodes.mut(N) = NodeRec();
+  for (uint32_t I = 0; I < ListsUsed; ++I) {
+    NodeLists &L = ListPool[I];
+    L.Cd2Pending.clear();
+    L.Cd4Pending.clear();
+    L.BorderIndex.clear();
+    L.DecidedOrdinals.clear();
+    L.BorderWaves.clear();
   }
+  ListsUsed = 0;
   Touched.clear();
   Faulty.clear();
   Decisions.clear();
@@ -500,7 +521,7 @@ CheckResult trace::checkAll(const CheckInput &In) {
   assert(In.G && "CheckInput.G must be set");
   StreamingChecker SC(*In.G);
   for (NodeId N : In.Faulty)
-    SC.onCrash(N, N < In.CrashTimes.size() ? In.CrashTimes[N] : TimeNever);
+    SC.onCrash(N, crashTimeOf(In, N));
   if (In.SendLog)
     for (const sim::SendRecord &S : *In.SendLog)
       SC.onSend(S.When, S.From, S.To, S.Bytes);

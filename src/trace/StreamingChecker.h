@@ -47,6 +47,16 @@
 /// findings back into batch order. CheckerEquivalenceTest pins this
 /// differentially on every curated scenario, both backends.
 ///
+/// Memory: all per-node state is one 32-byte record per node in a paged
+/// store (support/PagedStore.h, 512-node pages), plus pooled obligation
+/// lists for the nodes that hold any. Constructing a checker allocates
+/// only the page directory; a page materializes the first time a crash,
+/// decision, pending obligation or wave-border membership is recorded for
+/// one of its nodes. sealEpoch() resets exactly the records the epoch
+/// touched and keeps their pages for the next epoch, so checking one job
+/// costs O(touched nodes), and a long-lived service checker holds pages
+/// only where its epochs have been — never O(N).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLIFFEDGE_TRACE_STREAMINGCHECKER_H
@@ -55,11 +65,14 @@
 #include "graph/Graph.h"
 #include "graph/Region.h"
 #include "sim/Network.h"
+#include "support/PagedStore.h"
 #include "trace/Checker.h"
 #include "trace/Runner.h"
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cliffedge {
@@ -143,66 +156,86 @@ private:
   struct Keyed; ///< A violation with its batch-order emission key.
   struct Wave;  ///< One border-intersection cluster's open-agreement state.
 
+  /// Everything the checker keeps per node, one record in a paged store
+  /// (support/PagedStore.h): a page materializes on the first write to any
+  /// of its nodes and absent pages read as this pristine state. sealEpoch
+  /// resets exactly the touched records, so pages are reused across
+  /// epochs and the store grows with what the run touched, never with N.
+  struct NodeRec {
+    SimTime CrashTime = TimeNever; ///< TimeNever for live nodes.
+    /// CD3 union-find parent (plain connectivity), valid when crashed.
+    NodeId DomainParent = 0;
+    /// Wave union-find parent, valid when crashed; one root per cluster.
+    NodeId WaveParent = 0;
+    /// Wave slot of a cluster root (valid where WaveParent == self).
+    uint32_t WaveSlot = 0;
+    /// Decisions by this node so far (CD1, CD4 discharge, waves).
+    uint32_t DecideCount = 0;
+    /// ListPool slot + 1 of the node's obligation lists (0 = none).
+    uint32_t Lists = 0;
+    bool Crashed = false;
+    bool Touched = false; ///< On the Touched list this epoch.
+  };
+
+  /// A node's variable-length obligations, pooled: only nodes with any
+  /// pending item hold a pool slot, and slots are recycled at the seal.
+  struct NodeLists {
+    /// CD2: (decision ordinal, view position) of view memberships whose
+    /// crash has not been observed yet.
+    std::vector<std::pair<uint32_t, uint32_t>> Cd2Pending;
+    /// CD4: (decision ordinal, border position) of border memberships the
+    /// node has neither decided nor crashed out of.
+    std::vector<std::pair<uint32_t, uint32_t>> Cd4Pending;
+    /// CD5: ordinals of decisions whose view-border contains the node
+    /// (q in border(V) must decide (V,d) — including *faulty* q, which is
+    /// why these live until the seal), and of its own decisions.
+    std::vector<uint32_t> BorderIndex;
+    std::vector<uint32_t> DecidedOrdinals;
+    /// Wave roots (possibly stale after merges — resolved through the
+    /// union-find on use) whose wave border holds the live node.
+    std::vector<NodeId> BorderWaves;
+  };
+
   void noteState();
   uint64_t retainedItems() const;
-  NodeId domainRoot(NodeId Node) const;
-  NodeId waveRoot(NodeId Node) const;
+  NodeId domainRoot(NodeId Node);
+  NodeId waveRoot(NodeId Node);
   bool sendCovered(NodeId From, NodeId To);
-  void touch(NodeId Node);
+  /// Writable record of \p Node; puts it on the Touched list.
+  NodeRec &touch(NodeId Node);
+  /// The node's lists, read-only (empty when it holds no pool slot).
+  const NodeLists &listsOf(NodeId Node) const;
+  /// The node's lists, writable; takes a pool slot on first use.
+  NodeLists &lists(NodeId Node);
+  bool crashed(NodeId Node) const { return Nodes[Node].Crashed; }
   void crashIntoWaves(NodeId Node, SimTime When);
 
   const graph::Graph &G;
 
-  // -- Per-epoch ground truth ----------------------------------------------
-  std::vector<SimTime> CrashTimes; ///< TimeNever for live nodes.
-  std::vector<bool> Crashed;
+  // -- Per-epoch ground truth and obligations --------------------------------
+  support::PagedStore<NodeRec> Nodes;
+  /// Stable addresses (deque): a reference survives later slot grabs.
+  std::deque<NodeLists> ListPool;
+  uint32_t ListsUsed = 0; ///< Pool slots handed out this epoch.
   graph::Region Faulty;
   std::vector<DecisionRecord> Decisions;
-  /// Decisions per node so far (CD1, CD4 discharge, wave retirement).
-  std::vector<uint32_t> DecideCount;
-
-  // -- CD3: incremental faulty domains (plain connectivity) ----------------
-  /// Union-find parent, valid for crashed nodes only.
-  mutable std::vector<NodeId> DomainParent;
   /// Sends no current scope covers, in send order; re-checked at the seal
   /// against the final domains.
   std::vector<sim::SendRecord> PendingSends;
-
-  // -- Open obligations ----------------------------------------------------
-  /// CD2: per live node, (decision ordinal, view position) of view
-  /// memberships whose crash has not been observed yet.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> Cd2Pending;
   uint64_t Cd2PendingCount = 0;
-  /// CD4: per node, (decision ordinal, border position) of border
-  /// memberships it has neither decided nor crashed out of.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> Cd4Pending;
   uint64_t Cd4PendingCount = 0;
-  /// CD5: per node, ordinals of decisions whose view-border contains it
-  /// (q in border(V) must decide (V,d) — including *faulty* q, which is
-  /// why these indices live until the seal), and ordinals of its own
-  /// decisions.
-  std::vector<std::vector<uint32_t>> BorderIndex;
   uint64_t BorderIndexCount = 0;
-  std::vector<std::vector<uint32_t>> DecidedOrdinals;
 
   // -- Keyed eager findings, sorted back into batch order at the seal ------
   std::vector<Keyed> ViolCd1, ViolCd2, ViolCd4, ViolCd5;
 
   // -- Agreement waves (border-intersection closure, metrics only) ---------
-  /// Union-find parent over crashed nodes; one root per cluster.
-  mutable std::vector<NodeId> WaveParent;
   std::vector<Wave> Waves;
-  /// Wave slot of a cluster root (valid where WaveParent[n] == n).
-  std::vector<uint32_t> WaveSlotOf;
-  /// Per live node, cluster roots (possibly stale after merges — resolved
-  /// through the union-find on use) whose wave border it belongs to.
-  std::vector<std::vector<NodeId>> BorderWaves;
   uint64_t OpenWaves = 0;
 
   // -- Housekeeping --------------------------------------------------------
   /// Nodes with any per-node state this epoch, for O(touched) seal resets.
   std::vector<NodeId> Touched;
-  std::vector<bool> IsTouched;
   std::vector<NodeId> Scratch;     ///< Region algebra swap space.
   std::vector<NodeId> RootScratch; ///< sendCovered root collection.
 

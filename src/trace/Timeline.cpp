@@ -31,11 +31,12 @@ std::string trace::renderTimeline(const CheckInput &In,
   std::map<NodeId, NodeEvents> Events;
   SimTime TMin = TimeNever, TMax = 0;
 
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    if (In.CrashTimes.size() > N && In.CrashTimes[N] != TimeNever) {
-      Events[N].CrashAt = In.CrashTimes[N];
-      TMin = std::min(TMin, In.CrashTimes[N]);
-      TMax = std::max(TMax, In.CrashTimes[N]);
+  // Crash times exist only for faulty nodes: O(faulty), not O(N).
+  for (NodeId N : In.Faulty)
+    if (SimTime T = crashTimeOf(In, N); T != TimeNever) {
+      Events[N].CrashAt = T;
+      TMin = std::min(TMin, T);
+      TMax = std::max(TMax, T);
     }
   for (const DecisionRecord &D : In.Decisions) {
     Events[D.Node].Decision = &D;
@@ -96,13 +97,12 @@ std::string trace::renderEventLog(const CheckInput &In) {
     std::string Text;
   };
   std::vector<Event> Events;
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    if (In.CrashTimes.size() > N && In.CrashTimes[N] != TimeNever)
-      Events.push_back(
-          {In.CrashTimes[N], 0,
-           formatStr("t=%-8llu CRASH  %s",
-                     (unsigned long long)In.CrashTimes[N],
-                     G.label(N).c_str())});
+  for (NodeId N : In.Faulty)
+    if (SimTime T = crashTimeOf(In, N); T != TimeNever)
+      Events.push_back({T, 0,
+                        formatStr("t=%-8llu CRASH  %s",
+                                  (unsigned long long)T,
+                                  G.label(N).c_str())});
   for (const DecisionRecord &D : In.Decisions)
     Events.push_back(
         {D.When, 1,

@@ -25,8 +25,10 @@
 
 #include "engine/DesEngine.h"
 #include "engine/ShardedEngine.h"
+#include "graph/Builders.h"
 #include "scenario/Parse.h"
 #include "scenario/Spec.h"
+#include "support/PagedStore.h"
 #include "trace/Checker.h"
 #include "trace/StreamingChecker.h"
 #include "workload/CrashPlans.h"
@@ -347,6 +349,156 @@ TEST(CheckerEquivalenceSuite, ReplayWrapperMatchesBatch) {
   trace::CheckResult Replayed = trace::checkAll(In);
   EXPECT_EQ(Batch.Ok, Replayed.Ok);
   EXPECT_EQ(Batch.Violations, Replayed.Violations);
+}
+
+/// A 10,000-node torus spans many pages of the checker's node store.
+/// Nodes 4095 and 4096 (row 40, columns 95/96) and 8191 and
+/// 8192 (row 81, columns 91/92) are horizontal neighbours across a page
+/// boundary, so these outages, their borders and their agreement waves
+/// all straddle pages.
+static_assert(4096 % support::PagedStore<uint64_t>::PageSize == 0,
+              "4096 and 8192 must start pages");
+graph::Graph pageStraddlingWorld() { return graph::makeTorus(100, 100); }
+
+workload::CrashPlan straddlingPlan(std::initializer_list<NodeId> Nodes,
+                                   SimTime When) {
+  workload::CrashPlan P;
+  SimTime T = When;
+  for (NodeId N : Nodes)
+    P.Crashes.push_back({N, T++});
+  return P;
+}
+
+engine::EngineResult runPlan(engine::Engine &Eng, const graph::Graph &G,
+                             const workload::CrashPlan &Plan) {
+  engine::EngineJob Job;
+  Job.G = &G;
+  Job.Plan = &Plan;
+  Job.Seed = 7;
+  return Eng.run(Job);
+}
+
+/// Breaks a clean run's decisions so every seal path has findings across
+/// the page boundary: a wrong value (CD5), a view with a live member
+/// (CD2 pending, then CD4 obligations on its border), and a decision by
+/// a node off the view's border (CD2).
+void tamper(std::vector<trace::DecisionRecord> &Ds) {
+  ASSERT_FALSE(Ds.empty());
+  Ds.front().Chosen += 1;
+  trace::DecisionRecord Live;
+  Live.Node = 4097;
+  Live.View = graph::Region({4096, 4098});
+  Live.When = Ds.back().When;
+  Ds.push_back(Live);
+  trace::DecisionRecord OffBorder;
+  OffBorder.Node = 5000;
+  OffBorder.View = graph::Region({4095});
+  OffBorder.When = Ds.back().When + 1;
+  Ds.push_back(OffBorder);
+}
+
+TEST(CheckerEquivalenceSuite, PageStraddlingWorldIsByteIdentical) {
+  graph::Graph G = pageStraddlingWorld();
+  workload::CrashPlan Plan =
+      straddlingPlan({4095, 4096, 3996, 8191, 8192, 9999}, 100);
+  engine::DesEngine Des;
+  engine::ShardedEngine Sharded;
+  for (engine::Engine *Eng : {static_cast<engine::Engine *>(&Des),
+                              static_cast<engine::Engine *>(&Sharded)}) {
+    engine::EngineResult R = runPlan(*Eng, G, Plan);
+    ASSERT_TRUE(R.Quiesced) << Eng->name();
+    for (bool Tampered : {false, true}) {
+      std::string Where = std::string(Eng->name()) +
+                          (Tampered ? " tampered" : " clean");
+      trace::CheckInput In = engine::toCheckInput(R, G);
+      if (Tampered)
+        tamper(In.Decisions);
+      trace::CheckResult Batch = trace::checkAllBatch(In);
+      trace::CheckResult Streamed = trace::checkAll(In);
+      EXPECT_EQ(Batch.Ok, !Tampered) << Where << "\n" << Batch.summary();
+      EXPECT_EQ(Batch.Ok, Streamed.Ok) << Where;
+      EXPECT_EQ(Batch.Violations, Streamed.Violations) << Where;
+    }
+  }
+}
+
+/// Feeds one finished run (optionally tampered) into \p SC as one epoch.
+trace::CheckResult feedEpoch(trace::StreamingChecker &SC,
+                             const engine::EngineResult &R, bool Tampered) {
+  for (NodeId N : R.Faulty)
+    SC.onCrash(N, R.CrashTimes[N]);
+  for (const sim::SendRecord &S : R.SendLog)
+    SC.onSend(S.When, S.From, S.To, S.Bytes);
+  std::vector<trace::DecisionRecord> Ds = R.Decisions;
+  if (Tampered)
+    tamper(Ds);
+  for (const trace::DecisionRecord &D : Ds)
+    SC.onDecision(D);
+  return SC.sealEpoch();
+}
+
+/// The seal resets only what the epoch touched. Epoch 2 reuses nodes that
+/// epoch 1 crashed, bordered and decided on (its records live on the same
+/// pages), so any state the reset missed would change epoch 2's verdict or
+/// metrics against a fresh checker fed epoch 2 alone.
+TEST(CheckerEquivalenceSuite, SealedEpochLeaksNothingIntoTheNext) {
+  graph::Graph G = pageStraddlingWorld();
+  workload::CrashPlan Plan1 =
+      straddlingPlan({4095, 4096, 3996, 8191, 8192, 9999}, 100);
+  // Epoch 2's border holds epoch 1's crashed nodes 4096, 3996 and 8191
+  // and its decider 4196; they decide again, now as live nodes.
+  workload::CrashPlan Plan2 =
+      straddlingPlan({4097, 4098, 3997, 4197, 8190}, 50);
+  engine::DesEngine Des;
+  engine::EngineResult R1 = runPlan(Des, G, Plan1);
+  engine::EngineResult R2 = runPlan(Des, G, Plan2);
+  ASSERT_TRUE(R1.Quiesced && R2.Quiesced);
+
+  for (bool Tampered : {false, true}) {
+    std::string Where = Tampered ? "tampered" : "clean";
+    trace::StreamingChecker Long(G), Fresh1(G), Fresh2(G);
+    trace::CheckResult First = feedEpoch(Long, R1, /*Tampered=*/true);
+    EXPECT_FALSE(First.Ok) << Where;
+    trace::StreamingChecker::Metrics M1 = Long.metrics();
+    trace::CheckResult Second = feedEpoch(Long, R2, Tampered);
+    trace::StreamingChecker::Metrics M2 = Long.metrics();
+    EXPECT_EQ(Long.openWaves(), 0u) << Where;
+
+    feedEpoch(Fresh1, R1, /*Tampered=*/true);
+    trace::CheckResult Alone = feedEpoch(Fresh2, R2, Tampered);
+    trace::StreamingChecker::Metrics F1 = Fresh1.metrics();
+    trace::StreamingChecker::Metrics F2 = Fresh2.metrics();
+
+    // Epoch 2's verdict is the fresh checker's, and both are the batch
+    // checker's over epoch 2's materialized trace.
+    EXPECT_EQ(Second.Ok, Alone.Ok) << Where;
+    EXPECT_EQ(Second.Violations, Alone.Violations) << Where;
+    EXPECT_EQ(Second.Ok, !Tampered) << Where;
+    trace::CheckInput In2 = engine::toCheckInput(R2, G);
+    if (Tampered)
+      tamper(In2.Decisions);
+    EXPECT_EQ(trace::checkAllBatch(In2).Violations, Second.Violations)
+        << Where;
+
+    // Epoch 2's share of the cumulative metrics is the fresh checker's;
+    // the high-water marks are the larger epoch's.
+    EXPECT_EQ(M1.EpochsSealed, 1u);
+    EXPECT_EQ(M2.EpochsSealed, 2u);
+    EXPECT_EQ(M2.CrashesSeen - M1.CrashesSeen, F2.CrashesSeen) << Where;
+    EXPECT_EQ(M2.DecisionsSeen - M1.DecisionsSeen, F2.DecisionsSeen)
+        << Where;
+    EXPECT_EQ(M2.MessagesSeen - M1.MessagesSeen, F2.MessagesSeen) << Where;
+    EXPECT_EQ(M2.ViolationsSeen - M1.ViolationsSeen, F2.ViolationsSeen)
+        << Where;
+    EXPECT_EQ(M2.StateHighWater,
+              std::max(F1.StateHighWater, F2.StateHighWater))
+        << Where;
+    EXPECT_EQ(M2.OpenWavesHighWater,
+              std::max(F1.OpenWavesHighWater, F2.OpenWavesHighWater))
+        << Where;
+    EXPECT_EQ(M2.LatencyMax, std::max(F1.LatencyMax, F2.LatencyMax))
+        << Where;
+  }
 }
 
 } // namespace

@@ -97,7 +97,9 @@ struct EpochOutcome {
   bool Quiesced = false;
   trace::CheckResult Check;
   graph::Region Faulty;
-  std::vector<graph::Region> FinalMaxViews;
+  std::vector<engine::NodeMaxView> FinalMaxViews;
+  /// FinalMaxViews without the faulty nodes' entries.
+  std::vector<engine::NodeMaxView> CorrectMaxViews;
 };
 
 /// Runs every epoch of \p V at \p Seed on \p Eng, mirroring the RNG
@@ -137,6 +139,7 @@ std::vector<EpochOutcome> runAllEpochs(engine::Engine &Eng,
     EpochOutcome O;
     O.Quiesced = R.Quiesced;
     O.Faulty = R.Faulty;
+    O.CorrectMaxViews = engine::correctMaxViews(R);
     O.FinalMaxViews = std::move(R.FinalMaxViews);
     O.Check = trace::checkAll(engine::toCheckInput(R, Topo.G));
     Out.push_back(std::move(O));
@@ -177,16 +180,10 @@ void expectBackendsAgree(const scenario::Spec &V, uint64_t Seed,
         << Da.Check.summary() << "\nsharded:\n"
         << Db.Check.summary();
     EXPECT_EQ(Da.Check.Violations, Db.Check.Violations) << Where;
-    // Final max_views of correct nodes must have converged identically.
-    ASSERT_EQ(Da.FinalMaxViews.size(), Db.FinalMaxViews.size()) << Where;
-    for (NodeId N = 0; N < Da.FinalMaxViews.size(); ++N) {
-      if (Da.Faulty.contains(N))
-        continue;
-      EXPECT_EQ(Da.FinalMaxViews[N], Db.FinalMaxViews[N])
-          << Where << ": node " << N << " max_view diverged (des "
-          << Da.FinalMaxViews[N].str() << " vs sharded "
-          << Db.FinalMaxViews[N].str() << ")";
-    }
+    // Final max_views of correct nodes must have converged identically
+    // (a correct node absent from both lists ended with an empty view).
+    EXPECT_EQ(Da.CorrectMaxViews, Db.CorrectMaxViews)
+        << Where << ": correct nodes' max_views diverged";
   }
 }
 
@@ -211,6 +208,87 @@ TEST_P(EngineEquivalence, VerdictsAndMaxViewsMatchAcrossBackends) {
     uint64_t Seed = V.SeedLo + I;
     expectBackendsAgree(V, Seed,
                         Scn.File + " seed " + std::to_string(Seed));
+  }
+}
+
+/// The sparse result format against per-node introspection. FinalMaxViews
+/// lists (node, max_view) for touched nodes with a non-empty view and
+/// Stats.SentByNode is a paged counter; read back for *every* node, they
+/// must equal what a directly driven ScenarioRunner's node(N).maxView()
+/// reports and what the send log counts per sender. The DES engine must
+/// match the reference runner on every node (same interleaving); the
+/// sharded engine on every correct node of a checked spec (converged).
+TEST_P(EngineEquivalence, SparseResultsMatchPerNodeIntrospection) {
+  const LoadedScenario &Scn = scenarios()[GetParam()];
+  // The million-node world runs in the suites above; here it would add
+  // three more full-scale runs for no extra coverage of the format.
+  if (Scn.File.rfind("million_", 0) == 0)
+    return;
+  scenario::Spec V = firstVariant(Scn.S);
+  // Each run gets its own materialization: the latency model draws from
+  // an RNG the options capture, so runs must not share one.
+  auto Materialize = [&](scenario::MaterializedRun &Run) {
+    std::string Err;
+    ASSERT_TRUE(scenario::materializeSingle(V, V.SeedLo, Run, Err))
+        << Scn.File << ": " << Err;
+    Run.Options.RecordSends = true;
+    Run.Options.StreamingCheck = nullptr;
+  };
+  scenario::MaterializedRun RefRun;
+  Materialize(RefRun);
+  RefRun.Options.LinkSeed = V.SeedLo; // As DesEngine sets it.
+  trace::ScenarioRunner Ref(RefRun.Topo.G, RefRun.Options);
+  RefRun.Plan.apply(Ref);
+  Ref.run();
+  const uint32_t NumNodes = RefRun.Topo.G.numNodes();
+
+  engine::DesEngine Des;
+  engine::ShardedEngine Sharded;
+  for (engine::Engine *Eng : {static_cast<engine::Engine *>(&Des),
+                              static_cast<engine::Engine *>(&Sharded)}) {
+    std::string Where = Scn.File + " [" + Eng->name() + "]";
+    scenario::MaterializedRun Run;
+    Materialize(Run);
+    engine::EngineJob Job;
+    Job.G = &Run.Topo.G;
+    Job.Plan = &Run.Plan;
+    Job.Options = Run.Options;
+    Job.Seed = V.SeedLo;
+    engine::EngineResult R = Eng->run(Job);
+    ASSERT_TRUE(R.Quiesced) << Where;
+
+    for (size_t I = 0; I < R.FinalMaxViews.size(); ++I) {
+      EXPECT_FALSE(R.FinalMaxViews[I].second.empty()) << Where;
+      if (I > 0) {
+        EXPECT_LT(R.FinalMaxViews[I - 1].first, R.FinalMaxViews[I].first)
+            << Where << ": entries must be unique and ascending";
+      }
+    }
+    std::vector<uint64_t> SendsByNode(NumNodes, 0);
+    for (const sim::SendRecord &S : R.SendLog)
+      ++SendsByNode[S.From];
+    EXPECT_EQ(R.Stats.SentByNode.size(), NumNodes) << Where;
+
+    bool IsDes = Eng == &Des;
+    size_t K = 0;
+    for (NodeId N = 0; N < NumNodes; ++N) {
+      graph::Region Sparse;
+      if (K < R.FinalMaxViews.size() && R.FinalMaxViews[K].first == N)
+        Sparse = R.FinalMaxViews[K++].second;
+      if (IsDes || (V.Check && !R.Faulty.contains(N))) {
+        EXPECT_EQ(Sparse, Ref.node(N).maxView())
+            << Where << ": node " << N << " sparse max_view "
+            << Sparse.str() << " vs introspected "
+            << Ref.node(N).maxView().str();
+      }
+      EXPECT_EQ(R.Stats.SentByNode[N], SendsByNode[N])
+          << Where << ": node " << N;
+      if (IsDes) {
+        EXPECT_EQ(R.Stats.SentByNode[N], Ref.netStats().SentByNode[N])
+            << Where << ": node " << N;
+      }
+    }
+    EXPECT_EQ(K, R.FinalMaxViews.size()) << Where;
   }
 }
 
@@ -346,15 +424,9 @@ TEST_P(EngineEquivalence, LossyLinksMatchZeroLossBaselineOnBothBackends) {
             << Faulted[E].Check.summary();
         EXPECT_EQ(Base[E].Check.Violations, Faulted[E].Check.Violations)
             << Where;
-        ASSERT_EQ(Base[E].FinalMaxViews.size(),
-                  Faulted[E].FinalMaxViews.size())
-            << Where;
-        for (NodeId N = 0; N < Base[E].FinalMaxViews.size(); ++N) {
-          if (Base[E].Faulty.contains(N))
-            continue; // Faulty nodes freeze wherever loss caught them.
-          EXPECT_EQ(Base[E].FinalMaxViews[N], Faulted[E].FinalMaxViews[N])
-              << Where << ": node " << N << " max_view diverged under loss";
-        }
+        // Faulty nodes freeze wherever loss caught them.
+        EXPECT_EQ(Base[E].CorrectMaxViews, Faulted[E].CorrectMaxViews)
+            << Where << ": max_views diverged under loss";
       }
     }
   }

@@ -143,7 +143,7 @@ def distill(gbench):
             continue
         benchmarks[entry["name"]] = {"ns": round(to_ns(entry), 3)}
         for key in ("allocs_per_msg", "steady_msgs", "state_highwater",
-                    "open_waves_hw", "peak_rss_mb"):
+                    "open_waves_hw", "peak_rss_mb", "alloc_mb"):
             if key in entry:
                 counters[(entry["name"], key)] = entry[key]
 
@@ -256,6 +256,19 @@ def distill(gbench):
     million = benchmarks.get("BM_EngineMillion_Des/iterations:1")
     if million and million["ns"] > 0:
         derived["engine_million_des_ms"] = round(million["ns"] / 1e6, 1)
+    # The per-job floor at a million nodes: heap MB one idle job (empty
+    # plan, then checkAll) requests, per backend, from the operator-new
+    # byte sum. Deterministic, so the larger of the two carries a
+    # --require ceiling; a dense per-node array creeping back into either
+    # engine or the checker trips it.
+    idle = {}
+    for backend in ("des", "sharded"):
+        value = counters.get((f"BM_IdleJob/{backend}", "alloc_mb"))
+        if value is not None:
+            idle[backend] = value
+            derived[f"idle_job_alloc_mb_{backend}"] = round(value, 2)
+    if len(idle) == 2:
+        derived["idle_job_alloc_mb"] = round(max(idle.values()), 2)
     return {"schema": 1, "benchmarks": benchmarks, "derived": derived}
 
 
@@ -270,7 +283,9 @@ WALL_CLOCK_DERIVED = {"engine_quake_des_speedup_vs_pr3"}
 # threshold and treats any drop as an improvement. engine_million_des_ms
 # is wall-clock on a 1M-node working set, so like the per-benchmark
 # absolute times it never gates — the RSS ceiling is the committed bound.
-LOWER_IS_BETTER = {"engine_million_peak_rss_mb", "engine_million_des_ms"}
+LOWER_IS_BETTER = {"engine_million_peak_rss_mb", "engine_million_des_ms",
+                   "idle_job_alloc_mb", "idle_job_alloc_mb_des",
+                   "idle_job_alloc_mb_sharded"}
 
 
 def compare(baseline, fresh, threshold, absolute="gate"):
