@@ -57,7 +57,10 @@ using namespace cliffedge;
 // assert the steady-state data plane runs allocation-free (gated as
 // round_processing_allocs_per_msg <= 0); BM_IdleJob uses the bytes to
 // assert an idle job's cost does not scale with the world (gated as
-// idle_job_alloc_mb).
+// idle_job_alloc_mb); BM_DenseStormJob divides the count by processed
+// events (gated as dense_job_allocs_per_event); the crash-burst benches
+// record it per run so the zero-loss bypass is gated on exact extra
+// allocations (reliable_channel_extra_allocs).
 
 namespace {
 std::atomic<uint64_t> GAllocCount{0};
@@ -198,6 +201,74 @@ BENCHMARK_CAPTURE(BM_IdleJob, des, engine::BackendKind::Des)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_IdleJob, sharded, engine::BackendKind::Sharded)
     ->Unit(benchmark::kMillisecond);
+
+// -- Dense job: allocations per event on a jittered storm ---------------------
+//
+// One DES job of the dense_storm shape — a 16,384-node torus, jittered
+// latency, 64 ten-node outages opening within 300 ticks — on a fixed seed,
+// followed by the batch check. Every event is protocol work (crash
+// notices, multicast legs), so heap allocations per processed event
+// measure the bookkeeping Algorithm 1 and its transport pay per unit of
+// work: decoding, instance rounds, view construction, notice scheduling.
+// The operator-new count is deterministic on any host; bench_compare
+// turns it into dense_job_allocs_per_event and gates it.
+void BM_DenseStormJob(benchmark::State &State) {
+  static const scenario::Spec Spec = [] {
+    scenario::ParseResult P = scenario::parseSpec(
+        "scenario dense-storm\n"
+        "topology torus:128x128\n"
+        "latency uniform 1 30\n"
+        "detect 5\n"
+        "check on\n"
+        "crash random 64 10 at 100 spread 300\n");
+    if (!P.Ok) {
+      std::fprintf(stderr, "dense-storm spec failed to parse:\n%s\n",
+                   P.diagText().c_str());
+      std::abort();
+    }
+    return P.S;
+  }();
+  engine::DesEngine Eng;
+  uint64_t Allocs = 0, Events = 0;
+  bool Ok = true;
+  for (auto _ : State) {
+    // Fresh materialization per pass: the latency model draws from an RNG
+    // the options capture, so every pass replays the identical job.
+    State.PauseTiming();
+    scenario::MaterializedRun Run;
+    std::string Err;
+    if (!scenario::materializeSingle(Spec, 1, Run, Err)) {
+      State.SkipWithError(Err.c_str());
+      return;
+    }
+    State.ResumeTiming();
+    engine::EngineJob Job;
+    Job.G = &Run.Topo.G;
+    Job.Plan = &Run.Plan;
+    Job.Options = Run.Options;
+    Job.Seed = 1;
+    GAllocCount.store(0, std::memory_order_relaxed);
+    GAllocCounting.store(true, std::memory_order_relaxed);
+    {
+      engine::EngineResult R = Eng.run(Job);
+      trace::CheckResult C =
+          trace::checkAll(engine::toCheckInput(R, Run.Topo.G));
+      Ok = Ok && R.Quiesced && C.Ok && !R.Decisions.empty();
+      Events = R.Events;
+    }
+    GAllocCounting.store(false, std::memory_order_relaxed);
+    Allocs = GAllocCount.load(std::memory_order_relaxed);
+  }
+  if (!Ok || Events == 0) {
+    State.SkipWithError("dense job did not quiesce with a clean check");
+    return;
+  }
+  State.counters["allocs_per_event"] =
+      static_cast<double>(Allocs) / static_cast<double>(Events);
+  State.counters["allocs"] = static_cast<double>(Allocs);
+  State.counters["events"] = static_cast<double>(Events);
+}
+BENCHMARK(BM_DenseStormJob)->Unit(benchmark::kMillisecond);
 
 graph::Region randomRegion(Rng &Rand, uint32_t Universe, size_t Size) {
   std::vector<NodeId> Ids;
@@ -351,19 +422,48 @@ BENCHMARK(BM_CrashBurst_Incremental)->Arg(8)->Arg(16)->Arg(32);
 
 // End-to-end variant: a full simulated run (simulator + network + wire +
 // protocol) of a crash burst, the configuration of the Fig. 1-3 benches.
-void BM_ScenarioCrashBurst(benchmark::State &State) {
-  graph::Graph G = graph::makeGrid(24, 24);
-  graph::Region Patch =
-      graph::gridPatch(24, 4, 4, static_cast<uint32_t>(State.range(0)));
-  for (auto _ : State) {
-    trace::RunnerOptions Opts;
-    Opts.RecordSends = false;
-    Opts.RecordProtocolEvents = false;
+//
+// Each pass also records its heap allocations and the frame bytes it put
+// on the wire (protocol bytes plus pure-ack bytes): deterministic counts
+// that BM_ReliableChannelOverhead_Raw below is gated against.
+struct BurstCost {
+  uint64_t Allocs = 0;
+  uint64_t FrameBytes = 0;
+};
+
+BurstCost runCrashBurst(const graph::Graph &G, const graph::Region &Patch,
+                        trace::RunnerOptions Opts) {
+  Opts.RecordSends = false;
+  Opts.RecordProtocolEvents = false;
+  BurstCost Cost;
+  GAllocCount.store(0, std::memory_order_relaxed);
+  GAllocCounting.store(true, std::memory_order_relaxed);
+  {
     trace::ScenarioRunner Runner(G, std::move(Opts));
     Runner.scheduleCrashAll(Patch, 100);
     Runner.run();
     benchmark::DoNotOptimize(Runner.decisions().size());
+    Cost.FrameBytes =
+        Runner.netStats().BytesSent + Runner.netStats().Channel.AckBytes;
   }
+  GAllocCounting.store(false, std::memory_order_relaxed);
+  Cost.Allocs = GAllocCount.load(std::memory_order_relaxed);
+  return Cost;
+}
+
+void reportBurstCost(benchmark::State &State, const BurstCost &Cost) {
+  State.counters["allocs"] = static_cast<double>(Cost.Allocs);
+  State.counters["frame_bytes"] = static_cast<double>(Cost.FrameBytes);
+}
+
+void BM_ScenarioCrashBurst(benchmark::State &State) {
+  graph::Graph G = graph::makeGrid(24, 24);
+  graph::Region Patch =
+      graph::gridPatch(24, 4, 4, static_cast<uint32_t>(State.range(0)));
+  BurstCost Cost;
+  for (auto _ : State)
+    Cost = runCrashBurst(G, Patch, trace::RunnerOptions());
+  reportBurstCost(State, Cost);
 }
 BENCHMARK(BM_ScenarioCrashBurst)->Arg(4)->Arg(6);
 
@@ -372,16 +472,18 @@ BENCHMARK(BM_ScenarioCrashBurst)->Arg(4)->Arg(6);
 // One crash-burst scenario at three link configurations:
 //
 //  * raw        — `link none`, the zero-loss bypass (no plane object, the
-//                 pre-fault-plane code path byte for byte);
+//                 pre-fault-plane code path byte for byte). Gated on exact
+//                 counts against the byte-identical BM_ScenarioCrashBurst/6:
+//                 reliable_channel_extra_allocs and
+//                 reliable_channel_extra_bytes must both be <= 0 (the plane
+//                 engaging on the zero-loss path costs allocations at the
+//                 least). The within-run time ratio of the two,
+//                 reliable_channel_overhead, is informational;
 //  * reliable   — the armed sublayer over a perfect link: every frame is
 //                 wrapped with a sequence stamp and the receiver verifies
 //                 in-order arrival, but nothing can be lost, so no ack
-//                 traffic, no windows, no timers (tracked informationally
-//                 as reliable_channel_armed_ratio; the ctest gate is
-//                 reliable_channel_overhead — raw vs the byte-identical
-//                 BM_ScenarioCrashBurst/6 — with the ceiling set in
-//                 CMakeLists.txt, the single source of truth for the
-//                 bound);
+//                 traffic, no windows, no timers (informational:
+//                 reliable_channel_armed_ratio);
 //  * lossy      — full ARQ at drop:0.2 dup:0.01 reorder:15, the cost of
 //                 actually surviving a faulty medium (informational:
 //                 reliable_channel_lossy_ratio).
@@ -395,17 +497,14 @@ void runChannelScenario(benchmark::State &State, const char *LinkTok) {
   }
   graph::Graph G = graph::makeGrid(24, 24);
   graph::Region Patch = graph::gridPatch(24, 4, 4, 6);
+  BurstCost Cost;
   for (auto _ : State) {
     trace::RunnerOptions Opts;
-    Opts.RecordSends = false;
-    Opts.RecordProtocolEvents = false;
     Opts.Link = Link;
     Opts.LinkSeed = 42;
-    trace::ScenarioRunner Runner(G, std::move(Opts));
-    Runner.scheduleCrashAll(Patch, 100);
-    Runner.run();
-    benchmark::DoNotOptimize(Runner.decisions().size());
+    Cost = runCrashBurst(G, Patch, std::move(Opts));
   }
+  reportBurstCost(State, Cost);
 }
 
 void BM_ReliableChannelOverhead_Raw(benchmark::State &State) {

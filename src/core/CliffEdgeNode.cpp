@@ -9,11 +9,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 using namespace cliffedge;
 using namespace cliffedge::core;
 
 void NodeHost::onEvent(NodeId, const ProtocolEvent &) {}
+
+namespace {
+
+// Member sets of an instance round are bit masks over border index.
+size_t maskWords(size_t Width) { return (Width + 63) / 64; }
+void setBit(uint64_t *Mask, size_t I) {
+  Mask[I / 64] |= uint64_t(1) << (I % 64);
+}
+void clearBit(uint64_t *Mask, size_t I) {
+  Mask[I / 64] &= ~(uint64_t(1) << (I % 64));
+}
+size_t popcount(const uint64_t *Mask, size_t Words) {
+  size_t N = 0;
+  for (size_t W = 0; W < Words; ++W)
+    N += static_cast<size_t>(__builtin_popcountll(Mask[W]));
+  return N;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // NodeContext: shared per-domain state and the NodeTables slab.
@@ -113,6 +133,22 @@ const graph::Region &CliffEdgeNode::emptyRegion() {
   return Empty;
 }
 
+const graph::Region &CliffEdgeNode::maxView() const {
+  if (!T)
+    return emptyRegion();
+  if (T->MaxViewAt != InvalidNode)
+    return T->CrashedComponents.componentOf(T->MaxViewAt);
+  return T->DetachedMaxView; // Empty unless detached (PureLex).
+}
+
+size_t CliffEdgeNode::maxViewBorderSize() const {
+  if (!T)
+    return 0;
+  if (T->MaxViewAt != InvalidNode)
+    return T->CrashedComponents.componentBorderSize(T->MaxViewAt);
+  return Ctx->G.border(T->DetachedMaxView).size();
+}
+
 const CliffEdgeNode::Counters &CliffEdgeNode::counters() const {
   static const NodeCounters Zero;
   return T ? T->Stats : Zero;
@@ -140,6 +176,8 @@ void CliffEdgeNode::onCrash(NodeId Q) {
   // Lines 6-7: record the crash and extend monitoring to the crashed
   // node's own neighbourhood, so a growing region keeps being tracked.
   T->LocallyCrashed.insert(Q);
+  if (Ctx->Cfg.Ranking == graph::RankingKind::PureLex)
+    detachMaxViewBeforeMerge(Q);
   T->CrashedComponents.addCrashed(Q);
   Ctx->G.borderInto(Q, Ctx->MonitorScratch);
   Ctx->MonitorScratch.differenceInPlace(T->LocallyCrashed);
@@ -149,18 +187,40 @@ void CliffEdgeNode::onCrash(NodeId Q) {
   // next candidate view if it outranks the current one. Only Q's component
   // changed, and MaxView is ranked >= every previously-seen component, so
   // comparing Q's component against MaxView is equivalent to the paper's
-  // full maxRankedRegion(connectedComponents(...)) rescan.
-  if (T->CrashedComponents.outranks(Q, T->MaxView, Ctx->Cfg.Ranking,
-                                    T->MaxViewBorder)) {
-    T->MaxView = T->CrashedComponents.componentOf(Q);
-    T->MaxViewBorder =
-        Ctx->Cfg.Ranking == graph::RankingKind::SizeBorderLex
-            ? T->CrashedComponents.componentBorderSize(Q)
-            : graph::IncrementalComponents::UnknownBorder;
-    T->CandidateView = T->MaxView;
+  // full maxRankedRegion(connectedComponents(...)) rescan. Adoption moves
+  // the handle; no region is copied.
+  if (outranksMaxView(Q)) {
+    T->MaxViewAt = Q;
+    T->DetachedMaxView.clear();
+    T->HasCandidate = true;
   }
 
   dispatch();
+}
+
+bool CliffEdgeNode::outranksMaxView(NodeId Q) const {
+  const graph::IncrementalComponents &C = T->CrashedComponents;
+  // Empty max_view (outranked by any component) or a detached copy.
+  if (T->MaxViewAt == InvalidNode)
+    return C.outranks(Q, T->DetachedMaxView, Ctx->Cfg.Ranking);
+  // Q joined max_view's own component: a strict superset, so larger under
+  // the size-first rankings (PureLex detached max_view beforehand).
+  if (C.findRoot(Q) == C.findRoot(T->MaxViewAt))
+    return true;
+  return C.outranksComponent(Q, T->MaxViewAt, Ctx->Cfg.Ranking);
+}
+
+void CliffEdgeNode::detachMaxViewBeforeMerge(NodeId Q) {
+  if (T->MaxViewAt == InvalidNode)
+    return;
+  const graph::IncrementalComponents &C = T->CrashedComponents;
+  NodeId Root = C.findRoot(T->MaxViewAt);
+  for (NodeId N : Ctx->G.adj(Q))
+    if (C.isCrashed(N) && C.findRoot(N) == Root) {
+      T->DetachedMaxView = C.componentOf(Root);
+      T->MaxViewAt = InvalidNode;
+      return;
+    }
 }
 
 void CliffEdgeNode::onDeliver(NodeId From, const Message &M) {
@@ -172,8 +232,17 @@ void CliffEdgeNode::onDeliver(NodeId From, const Message &M) {
     ++T->Stats.MessagesIgnored;
     return;
   }
-  assert(M.border().contains(Self) &&
-         "received a message for a view we do not border");
+  // A daemon's peer datagram is untrusted input. A sender or receiver
+  // outside border(V), or a round past the instance's last, would index
+  // outside the instance's round slab: such a message is ignored.
+  const graph::Region &B = M.border();
+  const size_t FromIdx = findMemberIndex(B, From);
+  const size_t LastRound = std::max<size_t>(1, B.size() - 1);
+  if (FromIdx == NotAMember || !B.contains(Self) ||
+      (!M.Final && M.Round > LastRound)) {
+    ++T->Stats.MessagesIgnored;
+    return;
+  }
 
   NodeTables::Instance &I = ensureInstance(*M.VB);
   // Complete-relay tracking only feeds the footnote-6 guard; skipping it
@@ -184,11 +253,9 @@ void CliffEdgeNode::onDeliver(NodeId From, const Message &M) {
     // A Final message stands in for every remaining round of its sender
     // (footnote-6 optimisation): merge it into each round it covers.
     for (uint32_t R = std::min(M.Round, I.NumRounds); R <= I.NumRounds; ++R)
-      mergeIntoRound(I, R, From, M.Opinions, RelayComplete);
+      mergeIntoRound(I, R, FromIdx, M.Opinions, RelayComplete);
   } else {
-    assert(M.Round >= 1 && M.Round <= I.NumRounds &&
-           "round outside instance bounds");
-    mergeIntoRound(I, M.Round, From, M.Opinions, RelayComplete);
+    mergeIntoRound(I, M.Round, FromIdx, M.Opinions, RelayComplete);
   }
 
   dispatch();
@@ -211,15 +278,15 @@ void CliffEdgeNode::dispatch() {
 
 bool CliffEdgeNode::tryStartInstance() {
   // Line 12 guard: proposed = bottom and candidateView != empty.
-  if (T->HasProposal || T->CandidateView.empty())
+  if (T->HasProposal || !T->HasCandidate)
     return false;
 
-  // Lines 13-17. Interning the candidate is the only region work a
-  // proposal does; everything downstream handles the stable entry.
-  const ViewEntry &E = Ctx->Views.intern(T->CandidateView);
+  // Lines 13-17. Interning the candidate (max_view) is the only region
+  // work a proposal does; everything downstream handles the stable entry.
+  const ViewEntry &E = Ctx->Views.intern(maxView());
   T->Vp = &E;
   T->RejectScanNeeded = true; // The new proposal may outrank tracked views.
-  T->CandidateView.clear();
+  T->HasCandidate = false;
   T->ProposedValue = Ctx->Host.selectValue(Self, E.View);
   T->HasProposal = true;
   T->Round = 1;
@@ -310,21 +377,28 @@ bool CliffEdgeNode::tryCompleteRound() {
   if (!IP)
     return false; // Our own round-1 self-delivery has not arrived yet.
   NodeTables::Instance &I = *IP;
-  const graph::Region &Waiting = I.Waiting[T->Round - 1];
-  if (!Waiting.isSubsetOf(T->LocallyCrashed))
-    return false;
+  touchRound(I, T->Round);
+  const size_t Width = I.Width;
+  const size_t Words = maskWords(Width);
+  const uint64_t *Mask = I.masks(T->Round);
+  const std::vector<NodeId> &Members = I.VB->Border.ids();
+  for (size_t W = 0; W < Words; ++W)
+    for (uint64_t Bits = Mask[W]; Bits; Bits &= Bits - 1)
+      if (!T->LocallyCrashed.contains(
+              Members[W * 64 + static_cast<size_t>(__builtin_ctzll(Bits))]))
+        return false;
 
   // Footnote-6 early termination: if every border member relayed a
   // complete vector this round, all members are known to know everything;
   // finish now and cover our remaining rounds with one Final message.
   if (Ctx->Cfg.EarlyTermination && T->Round >= 2 && T->Round < I.NumRounds &&
-      I.CompleteRelays[T->Round - 1].size() == I.VB->Border.size()) {
+      popcount(Mask + Words, Words) == Width) {
     ++T->Stats.EarlyTerminations;
     Message &Out = Ctx->SendScratch;
     Out.Round = T->Round + 1;
     Out.setView(*I.VB);
     Out.Final = true;
-    Out.Opinions = I.Opinions[T->Round - 1];
+    Out.Opinions.assign(I.opinions(T->Round), Width);
     multicast(I.VB->Border, Out);
     emitEvent(EventKind::EarlyTerminate, I.VB->View, T->Round);
     finishInstance(I, T->Round);
@@ -346,7 +420,7 @@ bool CliffEdgeNode::tryCompleteRound() {
   Out.Round = T->Round;
   Out.setView(*I.VB);
   Out.Final = false;
-  Out.Opinions = I.Opinions[T->Round - 2];
+  Out.Opinions.assign(I.opinions(T->Round - 1), Width);
   multicast(I.VB->Border, Out);
   emitEvent(EventKind::RoundAdvance, I.VB->View, T->Round);
   return true;
@@ -354,8 +428,11 @@ bool CliffEdgeNode::tryCompleteRound() {
 
 void CliffEdgeNode::finishInstance(NodeTables::Instance &I,
                                    uint32_t FinalRound) {
-  const OpinionVec &Vec = I.Opinions[FinalRound - 1];
-  if (Vec.allAccept()) {
+  touchRound(I, FinalRound);
+  const OpinionEntry *Vec = I.opinions(FinalRound);
+  if (std::all_of(Vec, Vec + I.Width, [](const OpinionEntry &E) {
+        return E.Kind == Opinion::Accept;
+      })) {
     // Lines 34-36. deterministicPick: every completer holds the identical
     // vector (Lemma 3), so "value of the smallest border id" is a shared
     // deterministic choice.
@@ -393,9 +470,8 @@ NodeTables::Instance &CliffEdgeNode::ensureInstance(const ViewEntry &VB) {
       return I;
   }
 
-  // Lines 19-22: first contact with this view — allocate every round's
-  // opinion vector and waiting set up front (this is the view-construction
-  // path, not the steady state).
+  // Lines 19-22: first contact with this view. Its rounds materialize
+  // lazily (touchRound); a recycled slot keeps its slab.
   assert(VB.Border == Ctx->G.border(VB.View) &&
          "border must match the topology");
   uint32_t Slot;
@@ -412,17 +488,10 @@ NodeTables::Instance &CliffEdgeNode::ensureInstance(const ViewEntry &VB) {
   I.NumRounds =
       std::max<uint32_t>(1, static_cast<uint32_t>(VB.Border.size()) - 1);
   I.SelfIdx = static_cast<uint32_t>(memberIndex(VB.Border, Self));
-  I.Opinions.assign(I.NumRounds, OpinionVec(VB.Border.size()));
-  I.Waiting.assign(I.NumRounds, VB.Border);
-  if (Ctx->Cfg.EarlyTermination) {
-    // Seed each tracking region with the border's capacity so the
-    // per-round inserts never reallocate mid-instance.
-    I.CompleteRelays.assign(I.NumRounds, VB.Border);
-    for (graph::Region &R : I.CompleteRelays)
-      R.clear();
-  } else {
-    I.CompleteRelays.clear(); // Unused without the footnote-6 guard.
-  }
+  I.Width = static_cast<uint32_t>(VB.Border.size());
+  I.MaskStride = static_cast<uint32_t>(maskWords(I.Width) *
+                                       (Ctx->Cfg.EarlyTermination ? 2 : 1));
+  I.Touched = 0;
   T->LiveSlots.push_back(Slot);
   SlotPlus1 = Slot + 1;
   T->RejectScanNeeded = true; // A fresh view may rank below the proposal.
@@ -430,7 +499,7 @@ NodeTables::Instance &CliffEdgeNode::ensureInstance(const ViewEntry &VB) {
 }
 
 void CliffEdgeNode::mergeIntoRound(NodeTables::Instance &I, uint32_t MsgRound,
-                                   NodeId From, const OpinionVec &Op,
+                                   size_t FromIdx, const OpinionVec &Op,
                                    bool RelayComplete) {
   assert(MsgRound >= 1 && MsgRound <= I.NumRounds && "round out of bounds");
   assert(Op.size() == I.VB->Border.size() &&
@@ -439,21 +508,54 @@ void CliffEdgeNode::mergeIntoRound(NodeTables::Instance &I, uint32_t MsgRound,
   // Lines 23-24: first write wins — only bottom entries are filled. FIFO
   // channels then guarantee an accept from a node that later rejected the
   // same view is recorded, never overwritten (Lemma 3 relies on this).
-  OpinionVec &Dst = I.Opinions[MsgRound - 1];
-  for (size_t K = 0; K < Op.size(); ++K)
+  touchRound(I, MsgRound);
+  const size_t Width = Op.size();
+  OpinionEntry *Dst = I.opinions(MsgRound);
+  for (size_t K = 0; K < Width; ++K)
     if (Dst[K].Kind == Opinion::None && Op[K].Kind != Opinion::None)
       Dst[K] = Op[K];
 
   // Line 25: stop waiting for the sender and for anyone the vector shows
   // as a rejecter (rejecters send no further rounds).
-  graph::Region &Waiting = I.Waiting[MsgRound - 1];
-  Waiting.erase(From);
-  for (size_t K = 0; K < Op.size(); ++K)
+  uint64_t *Waiting = I.masks(MsgRound);
+  clearBit(Waiting, FromIdx);
+  for (size_t K = 0; K < Width; ++K)
     if (Op[K].Kind == Opinion::Reject)
-      Waiting.erase(I.VB->Border.ids()[K]);
+      clearBit(Waiting, K);
 
   if (RelayComplete)
-    I.CompleteRelays[MsgRound - 1].insert(From);
+    setBit(Waiting + maskWords(Width), FromIdx);
+}
+
+void CliffEdgeNode::touchRound(NodeTables::Instance &I, uint32_t Round) {
+  assert(Round >= 1 && Round <= I.NumRounds && "round out of bounds");
+  if (Round <= I.Touched)
+    return;
+  if (I.Touched == 0) {
+    // First touch: one slab sized for every round, so materializing later
+    // rounds never allocates. A recycled slot reuses a large-enough slab.
+    size_t Words = size_t(I.NumRounds) *
+                   (size_t(I.Width) * NodeTables::Instance::EntryWords +
+                    I.MaskStride);
+    if (I.SlabWords < Words) {
+      I.Slab.reset(new uint64_t[Words]);
+      I.SlabWords = Words;
+    }
+  }
+  const size_t Words = maskWords(I.Width);
+  for (uint32_t R = I.Touched + 1; R <= Round; ++R) {
+    // Bottom opinions, the whole border awaited, no complete relay.
+    std::uninitialized_fill_n(
+        reinterpret_cast<OpinionEntry *>(I.Slab.get()) +
+            size_t(R - 1) * I.Width,
+        I.Width, OpinionEntry{});
+    uint64_t *Mask = I.masks(R);
+    std::fill(Mask, Mask + Words, ~uint64_t(0));
+    if (I.Width % 64)
+      Mask[Words - 1] = (uint64_t(1) << (I.Width % 64)) - 1;
+    std::fill(Mask + Words, Mask + I.MaskStride, uint64_t(0));
+  }
+  I.Touched = Round;
 }
 
 void CliffEdgeNode::multicast(const graph::Region &To, const Message &M) {

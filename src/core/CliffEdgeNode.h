@@ -73,6 +73,7 @@
 
 #include <functional>
 #include <memory>
+#include <new>
 #include <vector>
 
 namespace cliffedge {
@@ -117,7 +118,8 @@ struct NodeCounters {
   uint64_t RoundsStarted = 0;
   uint64_t InstancesFailed = 0;
   uint64_t EarlyTerminations = 0;
-  uint64_t MessagesIgnored = 0; ///< Deliveries for rejected views.
+  uint64_t MessagesIgnored = 0; ///< Deliveries for rejected views or
+                                ///< from outside the view's border.
 };
 
 /// Outgoing effects of a protocol node, implemented once per execution
@@ -180,18 +182,50 @@ struct NodeTables {
   /// and waiting[V][.], lines 21-22), stored in a recycled slot vector and
   /// looked up by ViewId through a flat hash — no per-message hashing of
   /// region contents anywhere.
+  ///
+  /// Rounds are lazy and contiguous: round r materializes the first time
+  /// a merge, a completion check or a finish touches it (materializing
+  /// every earlier round with it), inside one per-instance slab allocated
+  /// for all max(1, |B|-1) rounds on first touch. A round never touched
+  /// reads as its initial state — bottom opinions, the whole border
+  /// awaited, no complete relay — so an instance rejected in round 1
+  /// initializes one round, not |B|-1, and every instance costs one
+  /// allocation instead of two per round. The waiting and complete-relay
+  /// sets are bit masks over border index, so clearing a member is one bit
+  /// operation instead of a sorted-region erase. Recycled slots keep their
+  /// slab.
   struct Instance {
     const ViewEntry *VB = nullptr; ///< Interned (view, border); stable.
     uint32_t NumRounds = 1;        ///< max(1, |B| - 1).
     uint32_t SelfIdx = 0;          ///< Index of Self within border(V).
+    uint32_t Width = 0;            ///< |B|.
+    uint32_t MaskStride = 0;       ///< Mask words per round.
+    uint32_t Touched = 0;          ///< Rounds 1..Touched are materialized.
     bool Live = false;
-    std::vector<OpinionVec> Opinions;   ///< [round-1] -> op vector.
-    std::vector<graph::Region> Waiting; ///< [round-1] -> members awaited.
-    /// Members whose message for a round carried a complete vector; when
-    /// all of B relayed complete vectors in some round, every member is
-    /// known to know everything (footnote-6 early-termination condition).
-    std::vector<graph::Region> CompleteRelays; ///< [round-1].
+    /// NumRounds opinion vectors of Width entries (the paper's
+    /// opinions[V][r]), then NumRounds mask blocks of MaskStride words:
+    /// the members still awaited (waiting[V][r], line 25), then — with
+    /// early termination only — the members whose message carried a
+    /// complete vector. When all of B relayed complete vectors in some
+    /// round, every member is known to know everything (footnote-6
+    /// early-termination condition).
+    std::unique_ptr<uint64_t[]> Slab;
+    size_t SlabWords = 0; ///< Slab capacity, kept across slot recycling.
+
+    /// Round \p Round's opinion vector (Width entries).
+    OpinionEntry *opinions(uint32_t Round) {
+      return std::launder(reinterpret_cast<OpinionEntry *>(Slab.get())) +
+             size_t(Round - 1) * Width;
+    }
+    /// Round \p Round's mask block: waiting words, then relay words.
+    uint64_t *masks(uint32_t Round) {
+      return Slab.get() + size_t(NumRounds) * Width * EntryWords +
+             size_t(Round - 1) * MaskStride;
+    }
+    static constexpr size_t EntryWords = sizeof(OpinionEntry) / 8;
   };
+  static_assert(sizeof(OpinionEntry) % 8 == 0 && alignof(OpinionEntry) <= 8,
+                "opinion entries tile the slab's 64-bit words");
 
   // Protocol state (names follow Algorithm 1, lines 2-3).
   bool Decided = false;
@@ -206,11 +240,23 @@ struct NodeTables {
   /// Incremental connectedComponents(LocallyCrashed): each crash merges
   /// into its component in near-O(alpha) instead of a full graph rescan.
   graph::IncrementalComponents CrashedComponents;
-  /// |border(MaxView)| at adoption time, so rank ties against the next
-  /// candidate need no border recomputation (SizeBorderLex only).
-  size_t MaxViewBorder = graph::IncrementalComponents::UnknownBorder;
-  graph::Region MaxView;
-  graph::Region CandidateView;
+  /// max_view (line 3) as a handle: any member of the component of
+  /// LocallyCrashed that max_view equals, InvalidNode while max_view is
+  /// empty or detached. Under the size-first rankings max_view is always
+  /// exactly one current component — a component that grows gets larger,
+  /// so it is adopted again — which makes the view construction of lines
+  /// 8-11 copy-free: adoption moves the handle, and the component's
+  /// border size is only computed (lazily, cached per component) when a
+  /// size tie needs it.
+  NodeId MaxViewAt = InvalidNode;
+  /// PureLex only: a component that grows can rank below its former self,
+  /// leaving max_view a superseded component. onCrash then detaches it
+  /// into this copy (MaxViewAt = InvalidNode) before the merge.
+  graph::Region DetachedMaxView;
+  /// candidateView != empty (line 11). The candidate is always max_view
+  /// itself: both are assigned together in onCrash, and the next proposal
+  /// consumes the candidate.
+  bool HasCandidate = false;
   /// The live proposal Vp as an interned handle (null before the first
   /// proposal). Persists across instance failures, like the paper's Vp.
   const ViewEntry *Vp = nullptr;
@@ -325,9 +371,15 @@ public:
   /// The paper's max_view (line 3): the highest-ranked crashed region this
   /// node currently tracks. At quiescence every correct node's max_view has
   /// converged — the cross-backend differential tests compare exactly this.
-  const graph::Region &maxView() const {
-    return T ? T->MaxView : emptyRegion();
-  }
+  /// The reference points into the crashed-component forest: it is valid
+  /// only until this node's next onCrash. The call may rebuild cached
+  /// state, so it must not run concurrently with any other call on the
+  /// node, maxView() included.
+  const graph::Region &maxView() const;
+
+  /// |border(max_view)| as the ranking computes it: lazily, cached per
+  /// component (0 while max_view is empty). Introspection for tests.
+  size_t maxViewBorderSize() const;
 
   /// True while a proposal is live (the paper's proposed != bottom, until
   /// instance failure).
@@ -383,8 +435,16 @@ private:
   bool isRejected(ViewId Id) const {
     return T && Id < T->Rejected.size() && T->Rejected[Id];
   }
+  /// Merges a round message from the border member at \p FromIdx.
   void mergeIntoRound(NodeTables::Instance &I, uint32_t MsgRound,
-                      NodeId From, const OpinionVec &Op, bool RelayComplete);
+                      size_t FromIdx, const OpinionVec &Op, bool RelayComplete);
+  /// Materializes rounds up to \p Round of \p I (see NodeTables::Instance).
+  void touchRound(NodeTables::Instance &I, uint32_t Round);
+  /// Line 10: does the component of just-crashed \p Q outrank max_view?
+  bool outranksMaxView(NodeId Q) const;
+  /// PureLex only: detaches max_view into a copy if crashing \p Q is
+  /// about to grow its component.
+  void detachMaxViewBeforeMerge(NodeId Q);
   void multicast(const graph::Region &To, const Message &M);
   void emitEvent(EventKind Kind, const graph::Region &View,
                  uint32_t EventRound);

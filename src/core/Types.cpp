@@ -37,8 +37,15 @@ std::string OpinionVec::str() const {
 }
 
 size_t core::memberIndex(const graph::Region &Members, NodeId Node) {
+  size_t Index = findMemberIndex(Members, Node);
+  assert(Index != NotAMember && "node is not a member");
+  return Index;
+}
+
+size_t core::findMemberIndex(const graph::Region &Members, NodeId Node) {
   const std::vector<NodeId> &Ids = Members.ids();
   auto It = std::lower_bound(Ids.begin(), Ids.end(), Node);
-  assert(It != Ids.end() && *It == Node && "node is not a member");
+  if (It == Ids.end() || *It != Node)
+    return NotAMember;
   return static_cast<size_t>(It - Ids.begin());
 }

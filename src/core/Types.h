@@ -59,6 +59,12 @@ public:
   /// steady-state decoding allocation-free.
   void reset(size_t NumMembers) { Entries.assign(NumMembers, OpinionEntry{}); }
 
+  /// Overwrites the vector with the \p N entries at \p First, reusing the
+  /// existing storage (round relays copy an instance's round slice).
+  void assign(const OpinionEntry *First, size_t N) {
+    Entries.assign(First, First + N);
+  }
+
   size_t size() const { return Entries.size(); }
 
   OpinionEntry &operator[](size_t Index) {
@@ -98,6 +104,13 @@ private:
 /// Index of \p Node within the sorted id list of \p Members; asserts
 /// membership. Opinion vectors are indexed this way.
 size_t memberIndex(const graph::Region &Members, NodeId Node);
+
+/// findMemberIndex's answer for a node outside the member list.
+constexpr size_t NotAMember = static_cast<size_t>(-1);
+
+/// memberIndex for untrusted input: NotAMember when \p Node is not in
+/// \p Members.
+size_t findMemberIndex(const graph::Region &Members, NodeId Node);
 
 /// A completed decision as reported by a node: the paper's
 /// <decide | S, d> event.

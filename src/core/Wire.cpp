@@ -8,6 +8,8 @@
 #include "core/Wire.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace cliffedge;
@@ -147,12 +149,10 @@ bool readRegionV1(Reader &R, graph::Region &Out) {
   return true;
 }
 
-bool readRegionDelta(Reader &R, graph::Region &Out) {
-  uint32_t Count = 0;
-  if (!R.varint32(Count))
-    return false;
-  std::vector<NodeId> Ids;
-  Ids.reserve(Count < MaxPrealloc ? Count : MaxPrealloc);
+/// Reads the \p Count delta-encoded ids of a region, handing the I-th to
+/// \p Visit(I, Id), which may refuse it by returning false.
+template <typename Fn>
+bool readDeltaIds(Reader &R, uint32_t Count, Fn &&Visit) {
   uint64_t Prev = 0;
   for (uint32_t I = 0; I < Count; ++I) {
     uint64_t Delta = 0;
@@ -168,10 +168,37 @@ bool readRegionDelta(Reader &R, graph::Region &Out) {
     if (Id >= InvalidNode)
       return false;
     Prev = Id;
-    Ids.push_back(static_cast<NodeId>(Id));
+    if (!Visit(I, static_cast<NodeId>(Id)))
+      return false;
   }
+  return true;
+}
+
+bool readRegionDelta(Reader &R, graph::Region &Out) {
+  uint32_t Count = 0;
+  if (!R.varint32(Count))
+    return false;
+  std::vector<NodeId> Ids;
+  Ids.reserve(Count < MaxPrealloc ? Count : MaxPrealloc);
+  if (!readDeltaIds(R, Count, [&Ids](uint32_t, NodeId Id) {
+        Ids.push_back(Id);
+        return true;
+      }))
+    return false;
   Out = graph::Region(std::move(Ids));
   return true;
+}
+
+/// Reads a delta-encoded region like readRegionDelta, but only checks it
+/// against \p Expect: true iff the encoded set is exactly \p Expect.
+/// Allocation-free.
+bool matchRegionDelta(Reader &R, const graph::Region &Expect) {
+  uint32_t Count = 0;
+  if (!R.varint32(Count) || Count != Expect.size())
+    return false;
+  const std::vector<NodeId> &Ids = Expect.ids();
+  return readDeltaIds(R, Count,
+                      [&Ids](uint32_t I, NodeId Id) { return Id == Ids[I]; });
 }
 
 bool readOpinions(Reader &R, size_t Count, OpinionVec &Out) {
@@ -250,12 +277,23 @@ bool decodeV3(Reader &R, uint8_t Flags, ViewTable &Views, Message &M) {
 
   const ViewEntry *E = nullptr;
   if (Flags & FlagAnnounce) {
-    graph::Region View, Border;
-    if (!readRegionDelta(R, View) || !readRegionDelta(R, Border))
-      return false;
-    if (View.empty() || Border.empty())
-      return false;
-    E = Views.internAnnounced(Id, View, Border);
+    if (const ViewEntry *Known = Views.tryGet(Id)) {
+      // The id is already interned (always, on a run-shared table: the
+      // proposer interned it before sending). Verify the payload against
+      // the entry in place — internAnnounced's check, without building
+      // two regions per announce frame.
+      if (!matchRegionDelta(R, Known->View) ||
+          !matchRegionDelta(R, Known->Border))
+        return false;
+      E = Known;
+    } else {
+      graph::Region View, Border;
+      if (!readRegionDelta(R, View) || !readRegionDelta(R, Border))
+        return false;
+      if (View.empty() || Border.empty())
+        return false;
+      E = Views.internAnnounced(Id, View, Border);
+    }
   } else {
     E = Views.tryGet(Id);
   }
@@ -440,6 +478,17 @@ std::optional<Message> core::decodeMessage(const std::vector<uint8_t> &Bytes,
   if (!decodeMessageInto(Bytes, Views, M))
     return std::nullopt;
   return M;
+}
+
+void core::decodeOwnFrame(NodeId From, const std::vector<uint8_t> &Bytes,
+                          ViewTable &Views, Message &Out) {
+  if (decodeMessageInto(Bytes, Views, Out))
+    return;
+  std::fprintf(stderr,
+               "cliffedge: a %zu-byte frame sent by node %u failed to "
+               "decode; the engine's own codec is broken\n",
+               Bytes.size(), From);
+  std::abort();
 }
 
 void WireEncoder::encode(const Message &M, std::vector<uint8_t> &Out) {

@@ -133,6 +133,14 @@ std::optional<Message> decodeMessage(const std::vector<uint8_t> &Bytes,
 bool decodeMessageInto(const std::vector<uint8_t> &Bytes, ViewTable &Views,
                        Message &Out);
 
+/// Decodes a frame an in-process engine produced itself into \p Out. Such
+/// a frame failing to decode is a codec bug, not line noise: dropping it
+/// would turn the bug into a missing delivery — a run that quiesces
+/// without deciding, or reports a wrong verdict. So this reports the
+/// sender and the frame size on stderr and aborts, in every build type.
+void decodeOwnFrame(NodeId From, const std::vector<uint8_t> &Bytes,
+                    ViewTable &Views, Message &Out);
+
 /// Decodes a *self-contained* v3 frame (encodeMessage / encodeMessageV3Into
 /// with the announce payload) against a table whose id space need not match
 /// the sender's. The embedded view id is untrusted provenance and ignored;

@@ -20,14 +20,29 @@ PerfectFailureDetector::PerfectFailureDetector(sim::Simulator &InSim,
                                                DetectionDelayModel InDelay,
                                                NotifyFn InOnCrash)
     : Sim(InSim), Delay(std::move(InDelay)), OnCrash(std::move(InOnCrash)),
-      Crashed(NumNodes), Regs(NumNodes) {}
+      Crashed(NumNodes), Regs(NumNodes) {
+  installNoticeHandler();
+}
 
 PerfectFailureDetector::PerfectFailureDetector(sim::Simulator &InSim,
                                                const graph::Graph &G,
                                                DetectionDelayModel InDelay,
                                                NotifyFn InOnCrash)
     : Sim(InSim), Delay(std::move(InDelay)), OnCrash(std::move(InOnCrash)),
-      Crashed(G.numNodes()), Regs(G) {}
+      Crashed(G.numNodes()), Regs(G) {
+  installNoticeHandler();
+}
+
+void PerfectFailureDetector::installNoticeHandler() {
+  Sim.setNotice([this](NodeId Watcher, NodeId Target) {
+    // Crashed watchers receive nothing; strong accuracy is immediate since
+    // notifications are only ever scheduled for real crashes.
+    if (Crashed[Watcher])
+      return;
+    ++Delivered;
+    OnCrash(Watcher, Target);
+  });
+}
 
 void PerfectFailureDetector::monitor(NodeId Watcher,
                                      const graph::Region &Targets) {
@@ -55,13 +70,7 @@ void PerfectFailureDetector::nodeCrashed(NodeId Node) {
 
 void PerfectFailureDetector::scheduleNotification(NodeId Watcher,
                                                   NodeId Target) {
-  SimTime When = Sim.now() + Delay(Watcher, Target);
-  Sim.at(When, [this, Watcher, Target]() {
-    // Crashed watchers receive nothing; strong accuracy is immediate since
-    // notifications are only ever scheduled for real crashes.
-    if (Crashed[Watcher])
-      return;
-    ++Delivered;
-    OnCrash(Watcher, Target);
-  });
+  // A plain simulator record, not a closure: one notice per (watcher,
+  // crashed neighbour) pair is the detector's whole fan-out.
+  Sim.atNotice(Sim.now() + Delay(Watcher, Target), Watcher, Target);
 }

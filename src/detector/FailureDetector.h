@@ -49,7 +49,10 @@ inline DetectionDelayModel fixedDetectionDelay(SimTime Ticks) {
 class PerfectFailureDetector {
 public:
   /// \p OnCrash routes a <crash|Target> event to \p Watcher's protocol
-  /// instance. The detector never notifies crashed watchers.
+  /// instance. The detector never notifies crashed watchers. Notices are
+  /// the simulator's native records with one run-wide handler, so a
+  /// simulator hosts at most one detector: constructing a second one on
+  /// the same simulator aborts.
   using NotifyFn = std::function<void(NodeId Watcher, NodeId Target)>;
 
   PerfectFailureDetector(sim::Simulator &Sim, uint32_t NumNodes,
@@ -89,6 +92,9 @@ private:
   SubscriptionRegistry Regs;
   uint64_t Delivered = 0;
 
+  /// Routes the simulator's native notice events to OnCrash. One detector
+  /// per simulator: the handler is run-wide.
+  void installNoticeHandler();
   void scheduleNotification(NodeId Watcher, NodeId Target);
 };
 

@@ -16,6 +16,10 @@ EngineResult DesEngine::run(const EngineJob &Job) {
   // plane's per-channel streams from it, so a (spec, seed) pair pins the
   // same per-channel fault schedule on every backend.
   Options.LinkSeed = Job.Seed;
+  // EngineResult carries no protocol-event log (the sharded engine records
+  // none either), so recording one would copy a Region per transition
+  // only to throw it away. Direct ScenarioRunner users still record.
+  Options.RecordProtocolEvents = false;
   trace::ScenarioRunner Runner(*Job.G, std::move(Options));
   Job.Plan->apply(Runner);
 

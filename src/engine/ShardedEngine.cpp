@@ -583,12 +583,9 @@ void RunState::merge(SimTime T) {
         // Legs of one multicast are contiguous in the outbox (frames are
         // pool-recycled only after their last leg releases, so the raw
         // pointer cannot recur within one merge batch).
-        std::optional<core::Message> Parsed =
-            core::decodeMessage(*M.Frame, Views);
-        assert(Parsed && "engine produced a corrupt frame");
-        if (!Parsed)
-          continue;
-        Decoded = std::make_shared<const core::Message>(std::move(*Parsed));
+        auto Parsed = std::make_shared<core::Message>();
+        core::decodeOwnFrame(M.From, *M.Frame, Views, *Parsed);
+        Decoded = std::move(Parsed);
         LastFrame = M.Frame.get();
       }
       Event E;

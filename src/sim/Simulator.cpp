@@ -11,10 +11,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 using namespace cliffedge;
 using namespace cliffedge::sim;
+
+void Simulator::setNotice(NoticeHandler Fn) {
+  if (Notice) {
+    std::fprintf(stderr, "cliffedge: a second crash-notice handler (failure "
+                         "detector) on one simulator\n");
+    std::abort();
+  }
+  Notice = std::move(Fn);
+}
 
 void Simulator::schedule(Entry E) {
   assert(E.When >= Now && "cannot schedule an event in the past");
@@ -60,12 +71,23 @@ void Simulator::atDeliver(SimTime When, NodeId From, NodeId To,
   schedule(std::move(E));
 }
 
+void Simulator::atNotice(SimTime When, NodeId Watcher, NodeId Target) {
+  assert(Notice && "no notice handler installed");
+  Entry E;
+  E.When = When;
+  E.Seq = NextSeq++;
+  E.From = Target;
+  E.To = Watcher;
+  schedule(std::move(E));
+}
+
 uint64_t Simulator::biasKey(const Entry &E) const {
   // Deliveries key on their directed channel alone, so every delivery of
   // one channel inside one bucket shares a key and the stable sort leaves
   // their mutual (= send) order intact: per-channel FIFO is preserved and
-  // only the interleaving *between* channels (and against closure events,
-  // keyed uniquely by Seq) is permuted.
+  // only the interleaving *between* channels (and against closure and
+  // notice events, keyed uniquely by Seq like the closures notices once
+  // were) is permuted.
   uint64_t Mix = E.Frame
                      ? (static_cast<uint64_t>(E.From) << 32) | E.To
                      : 0x636c6f73757265ULL ^ (E.Seq * 0x9e3779b97f4a7c15ULL);
@@ -96,8 +118,10 @@ void Simulator::dispatch(Entry &Next) {
   ++Processed;
   if (Next.Frame)
     Deliver(Next.From, Next.To, Next.Frame);
-  else
+  else if (Next.Fn)
     (*Next.Fn)();
+  else
+    Notice(Next.To, Next.From);
 }
 
 bool Simulator::step() {

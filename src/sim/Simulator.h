@@ -10,11 +10,12 @@
 /// (time, sequence) ordered: ties on time break by scheduling order, which
 /// together with seeded randomness makes every run bit-reproducible.
 ///
-/// Two event shapes share one queue: generic closures (crash schedules,
-/// detector timers — rare) and native *message deliveries* (the steady
-/// state). A delivery is a plain (from, to, frame) record dispatched to
-/// one run-wide handler, so scheduling it moves a refcounted frame handle
-/// instead of heap-allocating a std::function closure per message.
+/// Three event shapes share one queue: generic closures (crash schedules,
+/// retransmit timers — rare), native *message deliveries* and native
+/// *crash notices* (the steady state). A delivery is a plain (from, to,
+/// frame) record and a notice a plain (watcher, target) record, each
+/// dispatched to one run-wide handler, so scheduling either moves a few
+/// words instead of heap-allocating a std::function closure per event.
 ///
 /// Storage is a calendar: per-timestamp FIFO buckets plus a short sorted
 /// list of pending timestamps. Sequence numbers are assigned at schedule
@@ -48,6 +49,7 @@ public:
   using Handler = std::function<void()>;
   using DeliverHandler = std::function<void(
       NodeId From, NodeId To, const support::FrameRef &Frame)>;
+  using NoticeHandler = std::function<void(NodeId Watcher, NodeId Target)>;
 
   /// Current simulated time (the timestamp of the event being processed).
   SimTime now() const { return Now; }
@@ -66,6 +68,20 @@ public:
   /// event (no closure allocation) dispatched to the Deliver handler.
   void atDeliver(SimTime When, NodeId From, NodeId To,
                  support::FrameRef Frame);
+
+  /// Installs the run-wide handler for native crash-notice events (the
+  /// failure detector's). Must be set before the first atNotice(), and
+  /// only once: notice records carry no handler of their own, so a second
+  /// detector on the same simulator would take over the first one's. A
+  /// second call aborts, in every build type.
+  void setNotice(NoticeHandler Fn);
+
+  /// Schedules a <crash|Target> notice for \p Watcher at absolute time
+  /// \p When: a plain-record event dispatched to the Notice handler. It
+  /// takes a sequence number and a tie-bias key exactly like a closure
+  /// scheduled at the same point would, so replacing one by the other
+  /// leaves every run's event order unchanged.
+  void atNotice(SimTime When, NodeId Watcher, NodeId Target);
 
   /// Seeds the adversarial delivery tie-break (0 = off). With a non-zero
   /// bias, events sharing a timestamp are drained in a seeded permutation
@@ -109,14 +125,16 @@ public:
   uint64_t eventsProcessed() const { return Processed; }
 
 private:
-  /// 40 bytes, trivially movable except for the frame handle: heap sifts
-  /// shuffle entries O(log n) times each, so closures live behind one
-  /// owning pointer (allocated per *closure* event — crash schedules and
-  /// detector timers, never message traffic) instead of inline.
+  /// 40 bytes, trivially movable except for the frame handle, so bucket
+  /// appends stay cheap. Closures live behind one owning pointer
+  /// (allocated per *closure* event — crash schedules and retransmit
+  /// timers, never message or notice traffic) instead of inline. The
+  /// shape is implied: a frame marks a delivery, a closure a closure
+  /// event, neither a crash notice (From = target, To = watcher).
   struct Entry {
     SimTime When;
     uint64_t Seq;
-    std::unique_ptr<Handler> Fn; ///< Null for delivery events.
+    std::unique_ptr<Handler> Fn; ///< Engaged for closure events.
     support::FrameRef Frame;     ///< Engaged for delivery events.
     NodeId From = InvalidNode;
     NodeId To = InvalidNode;
@@ -150,6 +168,7 @@ private:
   std::vector<std::pair<SimTime, uint32_t>> Times;
   size_t Count = 0;
   DeliverHandler Deliver;
+  NoticeHandler Notice;
   SimTime Now = 0;
   uint64_t NextSeq = 0;
   uint64_t Processed = 0;

@@ -16,9 +16,15 @@
 ///
 /// Discipline: a frame is writable (mutableBytes) only while its acquirer
 /// holds the sole reference; once it has been shared with the transport it
-/// is immutable. Every acquire bumps a generation counter, which lets
-/// decode-once caches detect that a recycled buffer now carries a
-/// different payload even though the pointer recurred.
+/// is immutable.
+///
+/// A single-threaded receiver may attach a parsed form of the bytes to the
+/// buffer (FrameRef::attachment): the DES runner decodes each multicast
+/// frame once, on its first leg, and every later leg reads the attached
+/// message. The attachment stays with the buffer across recycles, so its
+/// storage is warm for the next payload. Every acquire bumps a generation
+/// counter, which says whether the attachment still describes the current
+/// payload of a recycled buffer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +34,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -35,6 +42,15 @@ namespace cliffedge {
 namespace support {
 
 class FramePool;
+
+/// Base of a receiver's parsed form of a frame (see FrameRef::attachment).
+class FrameAttachment {
+public:
+  FrameAttachment() = default;
+  FrameAttachment(const FrameAttachment &) = delete;
+  FrameAttachment &operator=(const FrameAttachment &) = delete;
+  virtual ~FrameAttachment() = default;
+};
 
 /// One refcounted byte buffer. Lives on the heap; released back to its
 /// owning pool (or deleted, for pool-less one-off frames) when the last
@@ -47,8 +63,13 @@ private:
   friend class FrameRef;
   friend class FramePool;
   std::atomic<uint32_t> Refs{0};
-  uint64_t Gen = 0;        ///< Bumped per pool acquire (cache invalidation).
+  uint64_t Gen = 0;        ///< Bumped per pool acquire (attachment validity).
   FramePool *Pool = nullptr; ///< Recycle target; null = delete on release.
+  /// Receiver-side parsed form; survives recycling (warm storage).
+  std::unique_ptr<FrameAttachment> Attached;
+  /// Generation Attached was last claimed for; Attached describes the
+  /// current payload iff this equals Gen.
+  uint64_t AttachedGen = 0;
 };
 
 /// Intrusive smart pointer to an immutable FrameBuf.
@@ -77,10 +98,30 @@ public:
   const std::vector<uint8_t> &operator*() const { return Buf->Bytes; }
   const std::vector<uint8_t> *operator->() const { return &Buf->Bytes; }
 
-  /// Identity of the underlying buffer; pair with generation() when used
-  /// as a cache key, since pools recycle buffers.
+  /// Identity of the underlying buffer (pools recycle buffers, so it is
+  /// only a key among frames alive at the same time).
   const FrameBuf *get() const { return Buf; }
-  uint64_t generation() const { return Buf ? Buf->Gen : 0; }
+
+  /// The receiver's parsed form of this frame's bytes, of type \p T
+  /// (created on the buffer's first use). \p Current reports whether it
+  /// already describes the current payload; when false, the caller must
+  /// fill it before anyone else reads it — the slot is claimed for the
+  /// current payload by this call. Single-threaded receivers only, and
+  /// one attachment type per pool: the bytes stay immutable, but the
+  /// attachment is a mutable cache beside them.
+  template <typename T> T &attachment(bool &Current) const {
+    assert(Buf && "null frame");
+    if (!Buf->Attached) {
+      Buf->Attached.reset(new T());
+      Current = false;
+    } else {
+      Current = Buf->AttachedGen == Buf->Gen;
+    }
+    assert(dynamic_cast<T *>(Buf->Attached.get()) &&
+           "one attachment type per frame pool");
+    Buf->AttachedGen = Buf->Gen;
+    return static_cast<T &>(*Buf->Attached);
+  }
 
   /// Writable access, legal only while this handle is the sole owner —
   /// i.e. between pool acquire and the first share with the transport.

@@ -74,19 +74,20 @@ ScenarioRunner::ScenarioRunner(const graph::Graph &InG, RunnerOptions InOpts)
   Sim.reserve(std::min<size_t>(size_t(G.numNodes()) * 4, size_t(1) << 18));
   Net.setDeliver(
       [this](NodeId From, NodeId To, const sim::Network::Frame &Bytes) {
-        // The legs of one multicast share a frame and arrive back to
-        // back: decode once into the reused scratch, recipients share
-        // the parsed message. Zero allocations per steady-state leg.
-        if (Bytes.get() != LastFrame || Bytes.generation() != LastFrameGen) {
-          bool Ok = core::decodeMessageInto(*Bytes, Views, RecvScratch);
-          assert(Ok && "transport delivered a corrupt frame");
-          if (!Ok)
-            return;
-          LastFrame = Bytes.get();
-          LastFrameGen = Bytes.generation();
-        }
-        liveNode(To).onDeliver(From, RecvScratch);
+        liveNode(To).onDeliver(From, parsed(From, Bytes));
       });
+}
+
+const core::Message &ScenarioRunner::parsed(NodeId From,
+                                            const support::FrameRef &Frame) {
+  // The legs of one multicast share a frame but interleave with other
+  // traffic under jittered latency: the first leg decodes into the
+  // message attached to the pooled buffer, every later leg reuses it.
+  bool Current = false;
+  ParsedFrame &P = Frame.attachment<ParsedFrame>(Current);
+  if (!Current)
+    core::decodeOwnFrame(From, *Frame, Views, P.Msg);
+  return P.Msg;
 }
 
 core::CliffEdgeNode &ScenarioRunner::liveNode(NodeId N) {

@@ -112,7 +112,8 @@ struct RunnerOptions {
   StreamingChecker *StreamingCheck = nullptr;
 
   /// Record protocol-internal transitions (proposals, rejections, round
-  /// advances...) with timestamps.
+  /// advances...) with timestamps. engine::DesEngine turns this off: its
+  /// result has no event log.
   bool RecordProtocolEvents = true;
 
   /// Safety valve: abort the run after this many simulator events
@@ -219,6 +220,16 @@ private:
   /// event changes nothing observable.
   core::CliffEdgeNode &liveNode(NodeId N);
 
+  /// A frame's decoded message, attached to its pooled buffer: decoded on
+  /// the first leg of a multicast, shared by every later leg, and
+  /// recycled (warm opinion storage) with the buffer.
+  struct ParsedFrame final : support::FrameAttachment {
+    core::Message Msg;
+  };
+
+  /// The decoded message of a delivered \p Frame sent by \p From.
+  const core::Message &parsed(NodeId From, const support::FrameRef &Frame);
+
   /// The runner's core::NodeHost: one object serves every node — effects
   /// arrive tagged with the acting node's id, so there is no per-node
   /// callback state at all (the old wiring carried five std::functions
@@ -257,12 +268,6 @@ private:
   /// Per-node shells, encoders and crash times; protocol tables live in
   /// Ctx's slab. Both exist only where the failure wave went.
   support::PagedStore<NodeSlot> Slots;
-  /// Decode-side: one decode per frame, shared by all recipients of the
-  /// multicast (legs of one frame arrive back to back). The (buffer,
-  /// generation) pair guards against pool recycling.
-  core::Message RecvScratch;
-  const support::FrameBuf *LastFrame = nullptr;
-  uint64_t LastFrameGen = 0;
   std::vector<DecisionRecord> Decisions;
   std::vector<TimedProtocolEvent> ProtoEvents;
   graph::Region Faulty;

@@ -8,7 +8,11 @@
 /// \file
 /// Single-node tests of the trickier protocol paths: the footnote-6 early
 /// termination (Final messages) on both sender and receiver sides, the
-/// PureLex ablation's candidate stall, and post-decision behaviour.
+/// PureLex ablation's candidate stall, post-decision behaviour, and the
+/// lazily materialized instance rounds (a round nobody touched yet must
+/// read as bottom opinions with the whole border awaited), and round
+/// messages a daemon peer could forge (a sender outside the border, a
+/// round past the last).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -185,6 +189,197 @@ TEST(CoreEdgeTest, FinalMessagesCoverAllRemainingRounds) {
   Node.onDeliver(0, H.Outbox.back().M);
   EXPECT_TRUE(Node.hasDecided());
   EXPECT_EQ(H.Decided->View, V);
+}
+
+TEST(CoreEdgeTest, FinalFromAheadPeerCoversRoundsNeverTouched) {
+  // A peer early-terminates while this node is still in round 1: its
+  // Final(round 2) lands in rounds 2 and 3 before either exists here.
+  graph::Graph G = starGraph();
+  Region V{1};
+  Region B{0, 2, 3, 4};
+  Harness H(G);
+  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  Node.start();
+  Node.onCrash(1);
+  Node.onDeliver(0, H.Outbox[0].M);
+  OpinionVec Own2(B.size());
+  Own2[core::memberIndex(B, 2)] = OpinionEntry{Opinion::Accept, 2};
+  Node.onDeliver(2, roundMsg(H.Views, 1, V, B, Own2));
+  OpinionVec Full = completeAccepts(B);
+  Full[0] = OpinionEntry{Opinion::Accept, 7};
+  Node.onDeliver(2, roundMsg(H.Views, 2, V, B, Full, /*Final=*/true));
+  ASSERT_EQ(Node.currentRound(), 1u); // Still awaiting 3 and 4.
+
+  for (NodeId Peer : {3u, 4u}) {
+    OpinionVec Op(B.size());
+    Op[core::memberIndex(B, Peer)] = OpinionEntry{Opinion::Accept, Peer};
+    Node.onDeliver(Peer, roundMsg(H.Views, 1, V, B, Op));
+  }
+  ASSERT_EQ(Node.currentRound(), 2u);
+  // Rounds 2 and 3 already count node 2 as heard: own relay plus 3 and 4
+  // finish each round, and node 2 never sends again.
+  for (uint32_t Round : {2u, 3u}) {
+    Node.onDeliver(0, H.Outbox.back().M);
+    for (NodeId Peer : {3u, 4u})
+      Node.onDeliver(Peer, roundMsg(H.Views, Round, V, B, Full));
+  }
+  EXPECT_TRUE(Node.hasDecided());
+  EXPECT_EQ(H.Decided->View, V);
+  EXPECT_EQ(H.Decided->Chosen, 7u);
+}
+
+TEST(CoreEdgeTest, EarlyTerminationOnRelaysMergedBeforeTheRoundStarted) {
+  // Every peer's complete round-2 relay arrives while this node still
+  // waits for its own round-1 echo: round 2 materializes on the merge,
+  // and the complete-relay mask it recorded then still triggers the
+  // footnote-6 exit once the node gets there.
+  graph::Graph G = starGraph();
+  Region V{1};
+  Region B{0, 2, 3, 4};
+  core::Config Cfg;
+  Cfg.EarlyTermination = true;
+  Harness H(G);
+  CliffEdgeNode Node(0, G, H.Views, Cfg, H.callbacks());
+  Node.start();
+  Node.onCrash(1);
+  OpinionVec Full = completeAccepts(B);
+  Full[0] = OpinionEntry{Opinion::Accept, 7};
+  for (NodeId Peer : {2u, 3u, 4u}) {
+    OpinionVec Op(B.size());
+    Op[core::memberIndex(B, Peer)] = OpinionEntry{Opinion::Accept, Peer};
+    Node.onDeliver(Peer, roundMsg(H.Views, 1, V, B, Op));
+    Node.onDeliver(Peer, roundMsg(H.Views, 2, V, B, Full));
+  }
+  ASSERT_EQ(Node.currentRound(), 1u);
+  Node.onDeliver(0, H.Outbox[0].M); // Own echo: round 1 completes.
+  ASSERT_EQ(Node.currentRound(), 2u);
+  EXPECT_FALSE(Node.hasDecided()); // Own round-2 relay still awaited.
+  Node.onDeliver(0, H.Outbox.back().M);
+  EXPECT_TRUE(Node.hasDecided());
+  EXPECT_EQ(Node.counters().EarlyTerminations, 1u);
+  EXPECT_TRUE(H.Outbox.back().M.Final);
+  EXPECT_EQ(H.Outbox.back().M.Round, 3u);
+}
+
+TEST(CoreEdgeTest, CompletionCheckOnUntouchedRoundAwaitsWholeBorder) {
+  // Round 2 has received nothing when the node enters it: the completion
+  // check must see the whole border awaited — crashed peers are waived,
+  // but the node's own relay still has to arrive.
+  graph::Graph G = starGraph();
+  Region V{1};
+  Region B{0, 2, 3, 4};
+  Harness H(G);
+  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  Node.start();
+  Node.onCrash(1);
+  Node.onDeliver(0, H.Outbox[0].M);
+  for (NodeId Peer : {2u, 3u, 4u}) {
+    OpinionVec Op(B.size());
+    Op[core::memberIndex(B, Peer)] = OpinionEntry{Opinion::Accept, Peer};
+    Node.onDeliver(Peer, roundMsg(H.Views, 1, V, B, Op));
+  }
+  ASSERT_EQ(Node.currentRound(), 2u);
+  const Message Relay2 = H.Outbox.back().M;
+  for (NodeId Peer : {2u, 3u, 4u})
+    Node.onCrash(Peer);
+  EXPECT_EQ(Node.currentRound(), 2u); // Self is still awaited.
+  Node.onDeliver(0, Relay2);
+  EXPECT_EQ(Node.currentRound(), 3u);
+  // Round 3 is untouched too: again only the own relay completes it, and
+  // the complete round-3 vector decides.
+  EXPECT_FALSE(Node.hasDecided());
+  Node.onDeliver(0, H.Outbox.back().M);
+  EXPECT_TRUE(Node.hasDecided());
+  EXPECT_EQ(H.Decided->View, V);
+}
+
+/// starGraph plus node 5, which touches nothing: outside every border.
+graph::Graph starGraphWithStranger() {
+  graph::Graph G(6);
+  for (NodeId Peer : {0u, 2u, 3u, 4u})
+    G.addEdge(1, Peer);
+  return G;
+}
+
+TEST(CoreEdgeTest, RoundMessageFromOutsideTheBorderIsIgnored) {
+  // Node 1 (the crashed view itself) and node 5 (a stranger) are not in
+  // border {0,2,3,4}. Their round messages must neither stand in for a
+  // member (node 1 sorts where node 2 does) nor mark anyone as heard.
+  graph::Graph G = starGraphWithStranger();
+  Region V{1};
+  Region B{0, 2, 3, 4};
+  Harness H(G);
+  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  Node.start();
+  Node.onCrash(1);
+  Node.onDeliver(0, H.Outbox[0].M);
+  OpinionVec Full = completeAccepts(B);
+  Node.onDeliver(1, roundMsg(H.Views, 1, V, B, Full));
+  Node.onDeliver(5, roundMsg(H.Views, 1, V, B, Full));
+  Node.onDeliver(5, roundMsg(H.Views, 2, V, B, Full, /*Final=*/true));
+  EXPECT_EQ(Node.counters().MessagesIgnored, 3u);
+  for (NodeId Peer : {3u, 4u}) {
+    OpinionVec Op(B.size());
+    Op[core::memberIndex(B, Peer)] = OpinionEntry{Opinion::Accept, Peer};
+    Node.onDeliver(Peer, roundMsg(H.Views, 1, V, B, Op));
+  }
+  EXPECT_EQ(Node.currentRound(), 1u); // Node 2 is still awaited.
+  OpinionVec Own2(B.size());
+  Own2[core::memberIndex(B, 2)] = OpinionEntry{Opinion::Accept, 2};
+  Node.onDeliver(2, roundMsg(H.Views, 1, V, B, Own2));
+  EXPECT_EQ(Node.currentRound(), 2u);
+}
+
+TEST(CoreEdgeTest, CompleteRelayFromOutsideTheBorderDoesNotTerminateEarly) {
+  // With early termination on, a stranger's complete relay must not
+  // count toward "every member relayed a complete vector".
+  graph::Graph G = starGraphWithStranger();
+  Region V{1};
+  Region B{0, 2, 3, 4};
+  core::Config Cfg;
+  Cfg.EarlyTermination = true;
+  Harness H(G);
+  CliffEdgeNode Node(0, G, H.Views, Cfg, H.callbacks());
+  Node.start();
+  Node.onCrash(1);
+  Node.onDeliver(0, H.Outbox[0].M);
+  for (NodeId Peer : {2u, 3u, 4u}) {
+    OpinionVec Op(B.size());
+    Op[core::memberIndex(B, Peer)] = OpinionEntry{Opinion::Accept, Peer};
+    Node.onDeliver(Peer, roundMsg(H.Views, 1, V, B, Op));
+  }
+  ASSERT_EQ(Node.currentRound(), 2u);
+  OpinionVec Full = completeAccepts(B);
+  Full[0] = OpinionEntry{Opinion::Accept, 7};
+  Node.onDeliver(0, H.Outbox.back().M);
+  Node.onDeliver(5, roundMsg(H.Views, 2, V, B, Full));
+  Node.onDeliver(5, roundMsg(H.Views, 3, V, B, Full, /*Final=*/true));
+  Node.onDeliver(1, roundMsg(H.Views, 2, V, B, Full));
+  for (NodeId Peer : {2u, 3u})
+    Node.onDeliver(Peer, roundMsg(H.Views, 2, V, B, Full));
+  // Node 4's relay is missing: no early exit, round 2 still open.
+  EXPECT_FALSE(Node.hasDecided());
+  EXPECT_EQ(Node.counters().EarlyTerminations, 0u);
+  EXPECT_EQ(Node.currentRound(), 2u);
+  EXPECT_EQ(Node.counters().MessagesIgnored, 3u);
+  Node.onDeliver(4, roundMsg(H.Views, 2, V, B, Full));
+  EXPECT_TRUE(Node.hasDecided());
+  EXPECT_EQ(Node.counters().EarlyTerminations, 1u);
+}
+
+TEST(CoreEdgeTest, RoundPastTheLastIsIgnored) {
+  // Border {0,2,3,4} has 3 rounds; a non-Final round-4 message is
+  // malformed and must not reach the instance.
+  graph::Graph G = starGraph();
+  Region V{1};
+  Region B{0, 2, 3, 4};
+  Harness H(G);
+  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  Node.start();
+  Node.onCrash(1);
+  Node.onDeliver(2, roundMsg(H.Views, 4, V, B, completeAccepts(B)));
+  EXPECT_EQ(Node.counters().MessagesIgnored, 1u);
+  EXPECT_EQ(Node.currentRound(), 1u);
 }
 
 TEST(CoreEdgeTest, PureLexStallsWhenGrownRegionRanksLower) {

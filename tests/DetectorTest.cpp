@@ -104,16 +104,28 @@ TEST_F(DetectorFixture, SelfMonitoringIgnored) {
   EXPECT_EQ(Notices[0].Target, 3u);
 }
 
+TEST_F(DetectorFixture, SecondDetectorOnOneSimulatorAborts) {
+  // Notice records carry no handler: a second detector would silently
+  // take over the fixture detector's notices, so it must not start.
+  EXPECT_DEATH(PerfectFailureDetector Second(
+                   Sim, 5, detector::fixedDetectionDelay(1),
+                   [](NodeId, NodeId) {}),
+               "second crash-notice handler");
+}
+
 TEST_F(DetectorFixture, PerWatcherDelayModel) {
+  // A detector of its own needs a simulator of its own: the fixture's
+  // detector already routes Sim's crash notices.
+  Simulator Own;
   std::vector<Notice> Local;
   PerfectFailureDetector Slow(
-      Sim, 5,
+      Own, 5,
       [](NodeId Watcher, NodeId) -> SimTime { return Watcher * 10; },
-      [&](NodeId W, NodeId T) { Local.push_back(Notice{W, T, Sim.now()}); });
+      [&](NodeId W, NodeId T) { Local.push_back(Notice{W, T, Own.now()}); });
   Slow.monitor(1, Region{0});
   Slow.monitor(2, Region{0});
-  Sim.at(0, [&] { Slow.nodeCrashed(0); });
-  Sim.run();
+  Own.at(0, [&] { Slow.nodeCrashed(0); });
+  Own.run();
   ASSERT_EQ(Local.size(), 2u);
   EXPECT_EQ(Local[0].When, 10u);
   EXPECT_EQ(Local[1].When, 20u);

@@ -16,6 +16,7 @@
 
 #include "graph/IncrementalComponents.h"
 
+#include "core/CliffEdgeNode.h"
 #include "graph/Builders.h"
 #include "graph/Ranking.h"
 #include "support/Random.h"
@@ -236,6 +237,91 @@ TEST(IncrementalComponentsTest, MaxViewTrajectoryMatchesBatch) {
       }
     }
   }
+}
+
+// The node's own view construction, driven through CliffEdgeNode::onCrash:
+// max_view is held as a handle to a component of LocallyCrashed and its
+// border size is only computed on a size tie. The node observes a random
+// crash order the way the perfect detector reports it — a crash once it
+// monitors the node (its neighbours first, then the neighbours of every
+// crash it observed), late subscriptions included. After every observed
+// crash, on randomized topologies:
+//  * max_view equals the batch maxRankedRegion trajectory (every kind —
+//    PureLex exercises the detached copy);
+//  * under the size-first rankings it is exactly one current component
+//    of LocallyCrashed;
+//  * the lazily computed |border(max_view)| equals an eager recount.
+TEST(IncrementalComponentsTest, NodeMaxViewIsACurrentComponentWithLazyBorder) {
+  const RankingKind Kinds[] = {RankingKind::SizeBorderLex,
+                               RankingKind::SizeLex, RankingKind::PureLex};
+  size_t Observations = 0;
+  for (uint64_t Seed = 0; Seed < 300; ++Seed) {
+    Rng Rand(Seed * 7919 + 3);
+    Graph G = buildTopology(static_cast<uint32_t>(Seed), Rand);
+    std::vector<NodeId> Order = randomCrashOrder(G, Rand);
+    // The observer is a node that stays correct.
+    NodeId Self = Order.back();
+    Order.pop_back();
+
+    for (RankingKind Kind : Kinds) {
+      core::ViewTable Views(G, Kind);
+      core::Config Cfg;
+      Cfg.Ranking = Kind;
+      core::Callbacks CBs;
+      CBs.Multicast = [](const Region &, const core::Message &) {};
+      CBs.MonitorCrash = [](const Region &) {};
+      CBs.Decide = [](const Region &, core::Value) {};
+      CBs.SelectValue = [](const Region &) { return core::Value(0); };
+      core::CliffEdgeNode Node(Self, G, Views, Cfg, std::move(CBs));
+      Node.start();
+
+      Region Crashed, Monitored = G.border(Region{Self}), BatchMax;
+      auto Observe = [&](NodeId Q) {
+        Node.onCrash(Q);
+        ++Observations;
+        for (NodeId N : G.adj(Q))
+          if (N != Self)
+            Monitored.insert(N);
+        std::string Where = "seed " + std::to_string(Seed) + " kind " +
+                            std::to_string(static_cast<int>(Kind)) +
+                            " after observing " +
+                            Node.locallyCrashed().str();
+        std::vector<Region> Components =
+            G.connectedComponents(Node.locallyCrashed());
+        const Region &Best = graph::maxRankedRegion(G, Components, Kind);
+        if (graph::rankedLess(G, BatchMax, Best, Kind))
+          BatchMax = Best;
+        const Region &MaxView = Node.maxView();
+        ASSERT_EQ(MaxView, BatchMax) << Where;
+        ASSERT_EQ(Node.maxViewBorderSize(), G.border(MaxView).size())
+            << Where;
+        if (Kind != RankingKind::PureLex) {
+          ASSERT_NE(std::find(Components.begin(), Components.end(), MaxView),
+                    Components.end())
+              << Where << ": max_view " << MaxView.str()
+              << " is not a current component";
+        }
+      };
+      for (NodeId Q : Order) {
+        Crashed.insert(Q);
+        // Notify every crashed, monitored, not-yet-observed node; each
+        // observation extends monitoring, which may reveal older crashes.
+        for (bool More = true; More;) {
+          More = false;
+          for (NodeId N : Crashed)
+            if (Monitored.contains(N) && !Node.locallyCrashed().contains(N)) {
+              Observe(N);
+              if (HasFatalFailure())
+                return;
+              More = true;
+              break;
+            }
+        }
+      }
+    }
+  }
+  // Guard against a vacuous pass: the observers must see real waves.
+  EXPECT_GT(Observations, 10000u);
 }
 
 // outranksComponent() (the NaiveLocal max-tracking primitive) must agree

@@ -115,6 +115,23 @@ TEST(WireTest, RejectsTruncation) {
   }
 }
 
+TEST(WireTest, UndecodableOwnFrameAbortsWithSenderAndSize) {
+  // An engine's own frame failing to decode is a codec bug: the shared
+  // guard both engines decode through reports the sender and the frame
+  // size and aborts, in every build type, instead of dropping the leg.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  WireTables T;
+  Message M = sampleMessage(T.Enc);
+  auto Bytes = core::encodeMessage(M);
+  Message Out;
+  core::decodeOwnFrame(17, Bytes, T.Enc, Out);
+  EXPECT_EQ(Out.view(), M.view());
+  Bytes.resize(Bytes.size() - 3);
+  EXPECT_DEATH(core::decodeOwnFrame(17, Bytes, T.Enc, Out),
+               "a " + std::to_string(Bytes.size()) +
+                   "-byte frame sent by node 17 failed to decode");
+}
+
 TEST(WireTest, RejectsTrailingGarbage) {
   WireTables T;
   auto Bytes = core::encodeMessage(sampleMessage(T.Enc));
