@@ -29,11 +29,11 @@
 #include "net/Link.h"
 #include "scenario/Parse.h"
 #include "scenario/Spec.h"
-#include "sim/Simulator.h"
 #include "support/Random.h"
 #include "trace/Checker.h"
 #include "trace/Runner.h"
 #include "trace/StreamingChecker.h"
+#include "workload/CrashPlans.h"
 
 #include "benchmark/benchmark.h"
 
@@ -269,6 +269,90 @@ void BM_DenseStormJob(benchmark::State &State) {
   State.counters["events"] = static_cast<double>(Events);
 }
 BENCHMARK(BM_DenseStormJob)->Unit(benchmark::kMillisecond);
+
+// -- Lossy job: allocations per event on the sharded fault plane --------------
+//
+// One ShardedEngine job (one worker) of the lossy_churn shape — a
+// 2,304-node torus, uniform 1..20 latency, links that drop, duplicate and
+// reorder frames — running one service epoch (Poisson(4) outages of six
+// nodes within 200 ticks, capped as a service epoch is) on a fixed seed,
+// with a streaming checker attached and sealed. It is the only gated job
+// on the sharded merge, the net ARQ and the streaming checker: heap
+// allocations per processed event (operator-new hook, deterministic on
+// any host) measure the channel, calendar and decode bookkeeping a lossy
+// round pays. bench_compare turns it into lossy_job_allocs_per_event and
+// gates it.
+void BM_LossyChurnJob(benchmark::State &State) {
+  static const scenario::Spec Spec = [] {
+    scenario::ParseResult P = scenario::parseSpec(
+        "scenario lossy-churn\n"
+        "topology torus:48x48\n"
+        "latency uniform 1 20\n"
+        "link drop:0.15 dup:0.02 reorder:10\n"
+        "detect 5\n"
+        "ranking sizeborderlex\n"
+        "check on\n"
+        "streaming on\n"
+        "backend sharded\n"
+        "service 1\n"
+        "churn rate 4 size 6 horizon 200\n");
+    if (!P.Ok) {
+      std::fprintf(stderr, "lossy-churn spec failed to parse:\n%s\n",
+                   P.diagText().c_str());
+      std::abort();
+    }
+    return P.S;
+  }();
+  static const graph::Graph G = graph::makeTorus(48, 48);
+  constexpr uint64_t Seed = 1;
+  engine::EngineOptions EO;
+  EO.Workers = 1;
+  engine::ShardedEngine Eng(EO);
+  uint64_t Allocs = 0, Events = 0;
+  bool Ok = true;
+  for (auto _ : State) {
+    // Fresh plan, latency stream and checker per pass: every pass replays
+    // the identical job.
+    State.PauseTiming();
+    SplitMix64 Sub(Seed);
+    Rng PlanRand(Sub.next());
+    Rng LatRand(Sub.next());
+    workload::CrashPlan Plan = workload::capFaulty(
+        workload::poissonChurn(G, static_cast<double>(Spec.ChurnRate),
+                               static_cast<size_t>(Spec.ChurnSize), 100,
+                               Spec.ChurnHorizon, PlanRand),
+        G.numNodes() * 3 / 4);
+    trace::StreamingChecker Checker(G);
+    engine::EngineJob Job;
+    Job.G = &G;
+    Job.Plan = &Plan;
+    Job.Options = scenario::makeRunnerOptions(Spec, LatRand);
+    Job.Options.StreamingCheck = &Checker;
+    Job.Options.RecordSends = false;
+    Job.Seed = Seed;
+    State.ResumeTiming();
+    GAllocCount.store(0, std::memory_order_relaxed);
+    GAllocCounting.store(true, std::memory_order_relaxed);
+    {
+      engine::EngineResult R = Eng.run(Job);
+      trace::CheckResult C = Checker.sealEpoch();
+      Ok = Ok && R.Quiesced && C.Ok && !R.Decisions.empty() &&
+           R.Stats.Channel.Retransmits > 0;
+      Events = R.Events;
+    }
+    GAllocCounting.store(false, std::memory_order_relaxed);
+    Allocs = GAllocCount.load(std::memory_order_relaxed);
+  }
+  if (!Ok || Events == 0) {
+    State.SkipWithError("lossy job did not quiesce with a clean check");
+    return;
+  }
+  State.counters["allocs_per_event"] =
+      static_cast<double>(Allocs) / static_cast<double>(Events);
+  State.counters["allocs"] = static_cast<double>(Allocs);
+  State.counters["events"] = static_cast<double>(Events);
+}
+BENCHMARK(BM_LossyChurnJob)->Unit(benchmark::kMillisecond);
 
 graph::Region randomRegion(Rng &Rand, uint32_t Universe, size_t Size) {
   std::vector<NodeId> Ids;
@@ -599,52 +683,37 @@ void BM_RoundProcessing_Allocs(benchmark::State &State) {
 }
 BENCHMARK(BM_RoundProcessing_Allocs)->Unit(benchmark::kMillisecond);
 
-// -- Event engine ------------------------------------------------------------
-
-void BM_SimulatorChurn(benchmark::State &State) {
-  // Schedule/fire churn with a payload-carrying handler, the shape of every
-  // simulated message: measures the heap push/pop plus handler move cost.
-  // This is the DES side of the event-delivery comparison: each event is a
-  // type-erased std::function, heap-allocated at schedule time and
-  // pointer-chased on every sift.
-  const int Depth = static_cast<int>(State.range(0));
-  for (auto _ : State) {
-    sim::Simulator Sim;
-    Sim.reserve(static_cast<size_t>(Depth));
-    auto Frame = std::make_shared<const std::vector<uint8_t>>(64, 0xab);
-    uint64_t Sink = 0;
-    for (int I = 0; I < Depth; ++I)
-      Sim.at(static_cast<SimTime>(I % 7), [Frame, &Sink] {
-        Sink += Frame->size();
-      });
-    Sim.run();
-    benchmark::DoNotOptimize(Sink);
-  }
-  State.SetItemsProcessed(State.iterations() * Depth);
-}
-BENCHMARK(BM_SimulatorChurn)->Arg(1024)->Arg(16384);
-
+// -- Event engine: the sharded calendar -------------------------------------
+//
+// Schedule/fire churn through engine::EventQueue, the shipped calendar of
+// the sharded engine: n events per pass spread over 7 fresh timestamps,
+// every event a leg sharing one frame (one refcount each), dispatched on
+// its kind tag. The queue and the round buffer persist across passes, as
+// they do across a run's rounds, and timestamps keep advancing. Two
+// untimed passes warm the recycled buckets (the round buffer's first swap
+// hands one bucket an empty vector); from then on the allocs_per_event
+// counter (operator-new hook over every timed pass) is deterministic on
+// any host. bench_compare gates it as event_queue_allocs_per_event <= 0,
+// so a per-event allocation, or an index that grows with every timestamp
+// ever seen, trips it.
 void BM_EventDeliverySharded(benchmark::State &State) {
-  // The sharded engine's side of the event-delivery comparison: identical
-  // schedule/fire churn (same payload sharing, same per-event handler
-  // work) through engine::EventQueue — flat 48-byte records dispatched on
-  // a kind tag instead of per-event closures. The derived
-  // event_delivery_speedup metric divides BM_SimulatorChurn by this.
   const int Depth = static_cast<int>(State.range(0));
-  auto Msg = std::make_shared<const core::Message>();
+  support::FrameRef Frame =
+      support::FrameRef::fresh(std::vector<uint8_t>(64, 0xab));
+  engine::EventQueue Queue;
   std::vector<engine::Event> Round;
-  for (auto _ : State) {
-    engine::EventQueue Queue;
+  SimTime Base = 0;
+  uint64_t Sink = 0;
+  auto Pass = [&] {
     SplitMix64 Keys(42);
-    uint64_t Sink = 0;
     for (int I = 0; I < Depth; ++I) {
       engine::Event E;
-      E.When = static_cast<SimTime>(I % 7);
+      E.When = Base + static_cast<SimTime>(I % 7);
       E.Key = Keys.next();
       E.Seq = static_cast<uint64_t>(I);
+      E.Shard = static_cast<uint32_t>(I % 32);
       E.K = engine::Event::Deliver;
-      E.Bytes = 64;
-      E.Msg = Msg;
+      E.Frame = Frame;
       Queue.push(std::move(E));
     }
     while (!Queue.empty()) {
@@ -652,16 +721,28 @@ void BM_EventDeliverySharded(benchmark::State &State) {
       for (engine::Event &E : Round) {
         switch (E.K) {
         case engine::Event::Deliver:
-          Sink += E.Bytes;
+          Sink += E.Frame->size();
           break;
         default:
           break;
         }
       }
     }
-    benchmark::DoNotOptimize(Sink);
+    Base += 7;
+  };
+  Pass();
+  Pass();
+  GAllocCount.store(0, std::memory_order_relaxed);
+  for (auto _ : State) {
+    GAllocCounting.store(true, std::memory_order_relaxed);
+    Pass();
+    GAllocCounting.store(false, std::memory_order_relaxed);
   }
+  benchmark::DoNotOptimize(Sink);
   State.SetItemsProcessed(State.iterations() * Depth);
+  State.counters["allocs_per_event"] =
+      static_cast<double>(GAllocCount.load(std::memory_order_relaxed)) /
+      static_cast<double>(State.iterations() * Depth);
 }
 BENCHMARK(BM_EventDeliverySharded)->Arg(1024)->Arg(16384);
 

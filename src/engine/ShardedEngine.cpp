@@ -8,33 +8,40 @@
 // Execution model
 // ---------------
 // Nodes are statically partitioned over S logical shards (node % S). Each
-// shard owns a binary heap of plain-struct events ordered by
-// (time, tie-break key, sequence), and a paged store of its nodes' state
-// indexed by node / S: a page materializes on the first write to one of
-// its nodes, so a job pays for the nodes its failures touch, not for the
-// world. A run alternates two phases:
+// shard owns a paged store of its nodes' state indexed by node / S: a page
+// materializes on the first write to one of its nodes, so a job pays for
+// the nodes its failures touch, not for the world. Pending events of all
+// shards share one run-wide calendar (engine/EventQueue.h) of plain-struct
+// events. A run alternates two phases:
 //
-//  * process: every shard pops and handles all of its events carrying the
-//    globally earliest timestamp T. Handlers only touch the owning shard's
-//    nodes and append outputs (messages, detector subscriptions, executed
-//    crashes, decisions) to shard-local outboxes, so shards are data-race
-//    free by construction and the phase parallelises over Workers threads.
+//  * process: the calendar hands over every event carrying the earliest
+//    timestamp T, sorted by (shard, tie-break key, sequence), so each shard
+//    with work — a *busy* shard — owns one contiguous slice of the round
+//    and drains it in (key, sequence) order. Handlers only touch the owning
+//    shard's nodes and append outputs (messages, detector subscriptions,
+//    executed crashes, decisions) to shard-local outboxes, so shards are
+//    data-race free by construction and the phase parallelises over
+//    Workers threads (shard s belongs to worker s % Workers, which takes
+//    the slices of its shards in ascending order). Idle shards cost
+//    nothing.
 //
-//  * merge (serial): outboxes are drained in deterministic order — shard 0
-//    first, production order within a shard. Crashes notify subscribed
-//    watchers, subscriptions to already-crashed targets notify immediately
-//    (the exactly-once discipline of detector::PerfectFailureDetector),
-//    and each multicast frame is decoded once and fanned out to its
-//    recipients with per-channel FIFO clamping, exactly like sim::Network.
-//    Every new event draws its tie-break key from a SplitMix64 stream
-//    seeded by the job, in this deterministic (time, shard, seq) merge
-//    order — which makes the run replayable for a (spec, seed) pair while
-//    exploring an interleaving genuinely different from the DES backend's.
+//  * merge (serial): the busy shards' outboxes are drained in
+//    deterministic order — ascending shard, production order within a
+//    shard. Crashes notify subscribed watchers, subscriptions to
+//    already-crashed targets notify immediately (the exactly-once
+//    discipline of detector::PerfectFailureDetector), and each multicast
+//    frame is decoded once, into the message attached to its pooled
+//    buffer, and fanned out to its recipients with per-channel FIFO
+//    clamping, exactly like sim::Network. Every new event draws its
+//    tie-break key from a SplitMix64 stream seeded by the job, in this
+//    deterministic (time, shard, seq) merge order — which makes the run
+//    replayable for a (spec, seed) pair while exploring an interleaving
+//    genuinely different from the DES backend's.
 //
 // Events at one timestamp on *different* nodes commute: a handler reads and
 // writes only its own node's protocol state, and everything it emits is
 // ordered by the merge, not by handler completion. Events on the *same*
-// node land in the same shard and run in deterministic heap order.
+// node land in the same shard and run in deterministic calendar order.
 //
 // Fault plane (RunnerOptions::Link active)
 // ----------------------------------------
@@ -47,12 +54,20 @@
 //  * every *receive-side* state (dedup, reorder buffers) lives in the
 //    recipient's shard and is touched only by that shard's worker.
 //
-// All link-model draws therefore happen in deterministic merge order, so
-// lossy runs replay bit-for-bit at any worker count, exactly like
-// zero-loss ones. Wrapped frame bytes are never materialised: the merge
-// decodes each multicast payload once as usual and carries (seq, ack) in
-// the event record, accounting the wire v3 channel-extension size
-// arithmetically.
+// Channel state is flat and index-addressed. A directed channel gets a
+// dense id at its first send (one channelKey -> id map, probed only by the
+// merge's send path); its send half lives in the run's channel table, its
+// receive half in the recipient shard's table, and its unacked frames in
+// one run-wide window pool. Events and staged acks and timers carry the
+// id, so nothing downstream of the first send hashes. Each channel is
+// threaded on its endpoints' per-node lists, and a crash purges exactly
+// the crashed node's channels.
+//
+// All link-model draws happen in deterministic merge order, so lossy runs
+// replay bit-for-bit at any worker count, exactly like zero-loss ones.
+// Wrapped frame bytes are never materialised: the merge decodes each
+// multicast payload once as usual and carries (seq, ack) in the event
+// record, accounting the wire v3 channel-extension size arithmetically.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,7 +83,6 @@
 #include "support/FlatHash.h"
 #include "support/FramePool.h"
 #include "support/PagedStore.h"
-#include "support/Sorted.h"
 #include "support/Random.h"
 #include "trace/StreamingChecker.h"
 
@@ -79,7 +93,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 using namespace cliffedge;
 using namespace cliffedge::engine;
@@ -98,40 +111,69 @@ struct OutMsg {
   support::FrameRef Frame;
 };
 
-/// One <monitorCrash|Targets> staged in a shard outbox.
+/// One (watcher, target) pair of a <monitorCrash|Targets>, staged in a
+/// shard outbox in production order.
 struct OutSub {
   NodeId Watcher;
-  graph::Region Targets;
+  NodeId Target;
 };
 
-/// The sharded engine buffers pre-decoded messages, not frame bytes.
-using MsgPtr = std::shared_ptr<const core::Message>;
-
-/// A send-window entry: what the merge needs to retransmit one frame.
-struct SendPayload {
-  MsgPtr Msg;
-  uint32_t WireBytes = 0;
+/// The merge's decoded form of a multicast frame, attached to its pooled
+/// buffer: decoded once, read by every leg, and recycled (warm opinion
+/// storage) with the buffer.
+struct ParsedFrame final : support::FrameAttachment {
+  core::Message Msg;
 };
 
-/// One cumulative-ack observation staged by a worker: retire the window
-/// of channel (Sender -> Peer) up to Cum.
+/// A frame a channel holds (send window, receive buffer): the handle keeps
+/// the buffer, and with it the attached message \c Msg points to, alive.
+struct Leg {
+  support::FrameRef Frame;
+  const core::Message *Msg = nullptr;
+};
+
+using RecvHalf = net::ReliableChannelRecv<Leg>;
+
+/// One cumulative-ack observation staged by a worker. A piggybacked ack
+/// rode a data frame of \c Chan and retires the reverse channel's window;
+/// a pure ack retires \c Chan's own.
 struct OutAckSeen {
-  NodeId Sender;
-  NodeId Peer;
+  uint32_t Chan;
+  uint32_t Cum;
+  bool Piggyback;
+};
+
+/// One pure ack a receiver owes on data channel \c Chan.
+struct OutAckSend {
+  uint32_t Chan;
   uint32_t Cum;
 };
 
-/// One pure ack a receiver owes: send Cum on channel (From -> To).
-struct OutAckSend {
+/// Send half of one directed channel, plus the links that replace hashing:
+/// its receive half, its reverse channel and its endpoints' channel lists.
+/// Merge-only. Unacked frames live in RunState::Window, ascending by seq.
+struct Channel {
   NodeId From;
   NodeId To;
-  uint32_t Cum;
+  uint32_t RecvSlot;              ///< Receive half in shardOf(To)'s table.
+  uint32_t Reverse = NoChannel;   ///< Channel To -> From, once it exists.
+  uint32_t NextOfFrom = NoChannel; ///< Next channel on From's list.
+  uint32_t NextOfTo = NoChannel;   ///< Next channel on To's list.
+  uint32_t NextSeq = 1; ///< Sequence the next data frame is stamped with.
+  uint32_t CumAcked = 0;
+  uint32_t WinHead = NoChannel; ///< Oldest unacked frame (window pool).
+  uint32_t WinTail = NoChannel;
+  bool TimerArmed = false;
+  bool Dead = false; ///< An endpoint crashed: stop tracking, retransmitting.
 };
 
-/// One expired retransmit timer for channel (Sender -> Peer).
-struct OutTimer {
-  NodeId Sender;
-  NodeId Peer;
+/// One unacked frame in the run-wide window pool: what the merge needs to
+/// retransmit it. Free entries chain through \c Next.
+struct WindowEntry {
+  uint32_t Seq = 0;
+  uint32_t Next = NoChannel;
+  SimTime LastSent = 0;
+  Leg Payload;
 };
 
 /// One node's engine state, kept in its shard's paged store.
@@ -145,21 +187,17 @@ struct NodeSlot {
   SimTime CrashTime = TimeNever;
   /// Set by the owning shard when the node's CrashExec fires.
   bool Dead = false;
+  /// Head of the node's channel list (fault plane; merge-only).
+  uint32_t Channels = NoChannel;
 };
 
-/// Per-shard state: owned nodes' events plus this round's outputs.
+/// Per-shard state: owned nodes plus this round's outputs.
 struct Shard {
   /// The shard's nodes, indexed by NodeId / NumShards. Shard-private, so
   /// pages materialize without synchronization: during a round only the
   /// owning worker writes it, and the merge (serial) only reads it.
   support::PagedStore<NodeSlot> Slots;
-  EventQueue Heap;
-  /// Frame recycler for this shard's multicasts. Shard-local: workers
-  /// acquire in parallel during the process phase; releases happen at the
-  /// serial merge once the single decode is done.
-  support::FramePool Frames;
-  std::vector<Event> Round; ///< Drain scratch, capacity recycled per round.
-  // Outboxes, drained by the merge after every round.
+  // Outboxes, drained by the merge after every round the shard was busy.
   std::vector<OutMsg> OutMsgs;
   std::vector<OutSub> OutSubs;
   std::vector<NodeId> OutCrashed;
@@ -167,17 +205,23 @@ struct Shard {
   // Fault-plane outboxes (empty on the zero-loss path).
   std::vector<OutAckSeen> OutAcksSeen;
   std::vector<OutAckSend> OutAcksOwed;
-  std::vector<OutTimer> OutTimers;
-  /// Receive halves of every channel whose recipient this shard owns —
-  /// only this shard's worker touches them during rounds; the merge reads
+  std::vector<uint32_t> OutTimers; ///< Channels whose timer expired.
+  /// Receive halves of every channel whose recipient this shard owns,
+  /// indexed by Channel::RecvSlot. Appended by the merge; during rounds
+  /// only this shard's worker touches them, and the merge reads
   /// cumulative counters (piggyback acks) between rounds.
-  std::unordered_map<uint64_t, net::ReliableChannelRecv<MsgPtr>> Recv;
-  std::vector<MsgPtr> Released; ///< accept() scratch.
-  net::ChannelStats ChanStats;  ///< Receive-side counters (dedup/reorder).
-  SimTime Now = 0; ///< Timestamp of the round being processed.
-  uint64_t Processed = 0;
+  std::vector<RecvHalf> Recv;
+  std::vector<Leg> Released;   ///< accept() scratch.
+  net::ChannelStats ChanStats; ///< Receive-side counters (dedup/reorder).
   uint64_t Delivered = 0;
   uint64_t Dropped = 0;
+};
+
+/// A busy shard's events within the drained round.
+struct ShardSlice {
+  uint32_t Shard;
+  uint32_t Begin;
+  uint32_t End;
 };
 
 struct RunState;
@@ -207,12 +251,25 @@ struct RunState {
   /// threads (mutexed, first-sight only), the merge's decode resolves
   /// ids lock-free.
   core::ViewTable Views;
+  /// Frame recyclers, one per shard: workers acquire for their shard's
+  /// multicasts in parallel during the process phase. Declared before
+  /// everything that holds frames, so every frame is released before its
+  /// pool goes away.
+  std::vector<support::FramePool> Frames;
   std::vector<Shard> Shards;
   ShardHost Host;
   /// One execution domain per shard: a NodeContext's scratch buffers and
   /// NodeTables slab are single-threaded state, and a shard's nodes all
   /// run on one worker. unique_ptr because contexts are pinned (no moves).
   std::vector<std::unique_ptr<core::NodeContext>> Ctxs;
+
+  /// Every pending event of every shard.
+  EventQueue Calendar;
+  /// The round being processed: drained from the calendar by the
+  /// coordinator, one contiguous slice per busy shard.
+  std::vector<Event> Round;
+  std::vector<ShardSlice> Busy; ///< Ascending by shard.
+  SimTime Now = 0;              ///< Timestamp of the round being processed.
 
   // Merge-side (serial) state.
   SplitMix64 MergeRng;
@@ -232,15 +289,19 @@ struct RunState {
   bool Arq; ///< Faults present: full ARQ, no FIFO clamp.
   std::unique_ptr<net::LinkModel> Link;
   SimTime Rto = 0;
-  /// Send halves of every directed channel; merge-only.
-  std::unordered_map<uint64_t, net::ReliableChannelSend<SendPayload>> Send;
+  /// channelKey(From, To) -> dense channel id + 1; probed at first send
+  /// and once per leg by the merge, nowhere else.
+  U64FlatMap<uint32_t> ChanIds;
+  std::vector<Channel> Chans; ///< Send halves, by dense id.
+  std::vector<WindowEntry> Window; ///< Unacked frames of every channel.
+  uint32_t FreeWindow = NoChannel; ///< Free-list head in Window.
   net::ChannelStats ChanStats; ///< Send-side counters.
 
   RunState(const graph::Graph &InG, const trace::RunnerOptions &InOpts,
            uint32_t InShards, uint64_t Seed)
       : G(InG), Opts(InOpts), NumShards(InShards),
-        Views(InG, InOpts.NodeConfig.Ranking), Shards(InShards),
-        Host(*this),
+        Views(InG, InOpts.NodeConfig.Ranking), Frames(InShards),
+        Shards(InShards), Host(*this),
         MergeRng(Seed ^ 0x5368617264456e67ULL /* "ShardEng" */),
         TieSeed(SplitMix64(Seed ^ 0x4669666f54696523ULL).next()),
         Regs(InG),
@@ -291,6 +352,12 @@ struct RunState {
     return S.Node;
   }
 
+  /// Files \p E, fully keyed, under its recipient's shard.
+  void push(Event &&E) {
+    E.Shard = shardOf(E.To);
+    Calendar.push(std::move(E));
+  }
+
   /// Schedules \p E at merge time: assigns a fresh seeded tie-break key
   /// and the global sequence in deterministic merge order. Used for
   /// events with no ordering contract between each other (crash
@@ -299,7 +366,7 @@ struct RunState {
   void schedule(Event E) {
     E.Key = MergeRng.next();
     E.Seq = NextSeq++;
-    Shards[shardOf(E.To)].Heap.push(std::move(E));
+    push(std::move(E));
   }
 
   /// Seeded tie-break for a delivery on \p Channel landing at \p When:
@@ -311,25 +378,128 @@ struct RunState {
     return Mix.next();
   }
 
-  void processShard(uint32_t S, SimTime T);
+  /// Drains the earliest timestamp into Round and slices it by shard;
+  /// returns the round's timestamp.
+  SimTime beginRound() {
+    Calendar.takeRound(Round);
+    Now = Round.front().When;
+    Busy.clear();
+    uint32_t Size = static_cast<uint32_t>(Round.size());
+    for (uint32_t I = 0; I < Size; ++I)
+      if (Busy.empty() || Busy.back().Shard != Round[I].Shard)
+        Busy.push_back(ShardSlice{Round[I].Shard, I, I + 1});
+      else
+        Busy.back().End = I + 1;
+    return Now;
+  }
+
+  void processShard(const ShardSlice &Slice);
   void merge(SimTime T);
   void scheduleNotice(NodeId Watcher, NodeId Target, SimTime T);
 
   // --- Fault-plane helpers (merge phase only) ------------------------------
 
-  /// Cumulative sequence \p Sender has received on the reverse channel
-  /// (Peer -> Sender) — the piggyback ack for Sender's outgoing data.
-  uint32_t recvCum(NodeId Sender, NodeId Peer) const {
-    const auto &RecvMap = Shards[Sender % NumShards].Recv;
-    auto It = RecvMap.find(net::channelKey(Peer, Sender));
-    return It == RecvMap.end() ? 0 : It->second.CumSeq;
+  /// The dense id of channel (From -> To), assigned on its first send:
+  /// the channel gets its receive half in the recipient's shard, joins
+  /// both endpoints' lists and is paired with its reverse.
+  uint32_t channelId(NodeId From, NodeId To) {
+    uint32_t &Known = ChanIds[net::channelKey(From, To)];
+    if (Known)
+      return Known - 1;
+    uint32_t Id = static_cast<uint32_t>(Chans.size());
+    Known = Id + 1;
+    Channel Ch;
+    Ch.From = From;
+    Ch.To = To;
+    std::vector<RecvHalf> &Recv = Shards[shardOf(To)].Recv;
+    Ch.RecvSlot = static_cast<uint32_t>(Recv.size());
+    Recv.emplace_back();
+    NodeSlot &FromSlot = slotMut(From);
+    Ch.NextOfFrom = FromSlot.Channels;
+    FromSlot.Channels = Id;
+    if (To != From) {
+      NodeSlot &ToSlot = slotMut(To);
+      Ch.NextOfTo = ToSlot.Channels;
+      ToSlot.Channels = Id;
+    }
+    // A self-channel is its own reverse (the lookup finds Id itself).
+    if (const uint32_t *Rev = ChanIds.find(net::channelKey(To, From))) {
+      Ch.Reverse = *Rev - 1;
+      if (Ch.Reverse != Id)
+        Chans[Ch.Reverse].Reverse = Id;
+    }
+    Chans.push_back(Ch);
+    return Id;
   }
 
-  void scheduleTimer(NodeId Sender, NodeId Peer, SimTime When) {
+  /// Cumulative sequence channel \p C's sender has received on the
+  /// reverse channel — the piggyback ack for its outgoing data.
+  uint32_t recvCum(uint32_t C) const {
+    const Channel &Ch = Chans[C];
+    if (Ch.Reverse == NoChannel)
+      return 0;
+    return Shards[shardOf(Ch.From)].Recv[Chans[Ch.Reverse].RecvSlot].CumSeq;
+  }
+
+  /// Appends one unacked frame to channel \p C's window.
+  void track(uint32_t C, uint32_t Seq, SimTime T, Leg Payload) {
+    uint32_t W = FreeWindow;
+    if (W == NoChannel) {
+      W = static_cast<uint32_t>(Window.size());
+      Window.emplace_back();
+    } else {
+      FreeWindow = Window[W].Next;
+    }
+    WindowEntry &Entry = Window[W];
+    Entry.Seq = Seq;
+    Entry.Next = NoChannel;
+    Entry.LastSent = T;
+    Entry.Payload = std::move(Payload);
+    Channel &Ch = Chans[C];
+    if (Ch.WinTail == NoChannel)
+      Ch.WinHead = W;
+    else
+      Window[Ch.WinTail].Next = W;
+    Ch.WinTail = W;
+  }
+
+  /// Retires \p Ch's oldest unacked frame.
+  void popWindow(Channel &Ch) {
+    uint32_t W = Ch.WinHead;
+    WindowEntry &Entry = Window[W];
+    Ch.WinHead = Entry.Next;
+    if (Ch.WinHead == NoChannel)
+      Ch.WinTail = NoChannel;
+    Entry.Payload = Leg();
+    Entry.Next = FreeWindow;
+    FreeWindow = W;
+  }
+
+  /// Applies a cumulative ack to channel \p C's window.
+  void onAck(uint32_t C, uint32_t Cum) {
+    Channel &Ch = Chans[C];
+    if (Cum <= Ch.CumAcked)
+      return;
+    Ch.CumAcked = Cum;
+    while (Ch.WinHead != NoChannel && Window[Ch.WinHead].Seq <= Cum)
+      popWindow(Ch);
+  }
+
+  /// Abandons channel \p C: its window is dropped and nothing on it is
+  /// tracked or retransmitted again.
+  void purge(uint32_t C) {
+    Channel &Ch = Chans[C];
+    while (Ch.WinHead != NoChannel)
+      popWindow(Ch);
+    Ch.Dead = true;
+  }
+
+  void scheduleTimer(uint32_t C, SimTime When) {
     Event E;
     E.K = Event::TimerCheck;
-    E.From = Peer;
-    E.To = Sender;
+    E.From = Chans[C].To;
+    E.To = Chans[C].From;
+    E.Chan = C;
     E.When = When;
     schedule(std::move(E));
   }
@@ -345,57 +515,63 @@ struct RunState {
     if (Fate.Copies == 2)
       ++ChanStats.LinkDuplicated;
     SimTime Base = Link->baseLatency(Opts.Latency(Proto.From, Proto.To));
-    uint64_t Channel = net::channelKey(Proto.From, Proto.To);
+    uint64_t ChannelKey = net::channelKey(Proto.From, Proto.To);
     for (uint32_t I = 0; I < Fate.Copies; ++I) {
-      Event E = Proto;
+      Event E;
+      if (I + 1 < Fate.Copies)
+        E = Proto;
+      else
+        E = std::move(Proto); // The last copy takes the frame reference.
       E.When = T + Base + Fate.Extra[I];
-      E.Key = channelTieKey(Channel, E.When);
+      E.Key = channelTieKey(ChannelKey, E.When);
       E.Seq = NextSeq++;
-      Shards[shardOf(E.To)].Heap.push(std::move(E));
+      push(std::move(E));
     }
   }
 
-  /// One expired retransmit timer: re-send overdue window entries and
-  /// re-arm while anything is outstanding.
-  void onTimer(NodeId Sender, NodeId Peer, SimTime T) {
-    auto It = Send.find(net::channelKey(Sender, Peer));
-    if (It == Send.end())
-      return;
-    net::ReliableChannelSend<SendPayload> &SH = It->second;
-    SH.TimerArmed = false;
-    if (SH.Dead || SH.Window.empty())
+  /// One expired retransmit timer of channel \p C: re-send overdue window
+  /// entries and re-arm while anything is outstanding.
+  void onTimer(uint32_t C, SimTime T) {
+    Channel &Ch = Chans[C];
+    Ch.TimerArmed = false;
+    if (Ch.Dead || Ch.WinHead == NoChannel)
       return; // All acked or peer gone: the timer lapses.
-    if (slot(Peer).Dead) {
-      SH.purge();
+    if (slot(Ch.To).Dead) {
+      purge(C);
       return;
     }
-    uint32_t Cum = recvCum(Sender, Peer);
-    for (auto &P : SH.Window)
-      if (P.LastSent + Rto <= T) {
-        ++ChanStats.Retransmits;
-        Event E;
-        E.K = Event::Deliver;
-        E.From = Sender;
-        E.To = Peer;
-        E.Bytes = P.Payload.WireBytes;
-        E.ChanSeq = P.Seq;
-        E.ChanAck = Cum;
-        E.Msg = P.Payload.Msg;
-        linkSchedule(std::move(E), T);
-        P.LastSent = T;
-      }
-    SH.TimerArmed = true;
-    scheduleTimer(Sender, Peer, T + Rto);
+    uint32_t Cum = recvCum(C);
+    for (uint32_t W = Ch.WinHead; W != NoChannel; W = Window[W].Next) {
+      WindowEntry &P = Window[W];
+      if (P.LastSent + Rto > T)
+        continue;
+      ++ChanStats.Retransmits;
+      Event E;
+      E.K = Event::Deliver;
+      E.From = Ch.From;
+      E.To = Ch.To;
+      E.Chan = C;
+      E.RecvSlot = Ch.RecvSlot;
+      E.ChanSeq = P.Seq;
+      E.ChanAck = Cum;
+      E.Frame = P.Payload.Frame;
+      E.Msg = P.Payload.Msg;
+      linkSchedule(std::move(E), T);
+      P.LastSent = T;
+    }
+    Ch.TimerArmed = true;
+    scheduleTimer(C, T + Rto);
   }
 
   /// Abandons every channel that involves a crashed node: a dead process
-  /// neither retransmits nor can be delivered to (crash-stop).
+  /// neither retransmits nor can be delivered to (crash-stop). Channels
+  /// the node opens later (a multicast in its crash round) are not
+  /// purged: their first transmission still goes out.
   void purgeChannels(NodeId Node) {
-    for (auto &Entry : Send) {
-      NodeId From = net::channelFrom(Entry.first);
-      NodeId To = net::channelTo(Entry.first);
-      if (From == Node || To == Node)
-        Entry.second.purge();
+    for (uint32_t C = slot(Node).Channels; C != NoChannel;) {
+      purge(C);
+      const Channel &Ch = Chans[C];
+      C = Ch.From == Node ? Ch.NextOfFrom : Ch.NextOfTo;
     }
   }
 };
@@ -403,36 +579,36 @@ struct RunState {
 void ShardHost::multicast(NodeId From, const graph::Region &To,
                           const core::Message &M) {
   // Encode once into a pooled shard-local buffer; recipients share the
-  // frame (and, after the merge's single decode, the parsed message).
-  Shard &Sh = R.Shards[R.shardOf(From)];
-  support::FrameRef Frame = Sh.Frames.acquire();
+  // frame (and, after the merge's single decode, its attached message).
+  uint32_t S = R.shardOf(From);
+  support::FrameRef Frame = R.Frames[S].acquire();
   R.slotMut(From).Encoder.encode(M, Frame.mutableBytes());
+  std::vector<OutMsg> &Out = R.Shards[S].OutMsgs;
   for (NodeId Recipient : To)
-    Sh.OutMsgs.push_back(OutMsg{From, Recipient, Frame});
+    Out.push_back(OutMsg{From, Recipient, Frame});
 }
 
 void ShardHost::monitorCrash(NodeId From, const graph::Region &Targets) {
-  R.Shards[R.shardOf(From)].OutSubs.push_back(OutSub{From, Targets});
+  std::vector<OutSub> &Out = R.Shards[R.shardOf(From)].OutSubs;
+  for (NodeId Target : Targets)
+    if (Target != From) // A node does not monitor itself.
+      Out.push_back(OutSub{From, Target});
 }
 
 void ShardHost::decide(NodeId From, const graph::Region &View,
                        core::Value Chosen) {
-  Shard &Sh = R.Shards[R.shardOf(From)];
-  Sh.OutDecisions.push_back(trace::DecisionRecord{From, View, Chosen, Sh.Now});
+  R.Shards[R.shardOf(From)].OutDecisions.push_back(
+      trace::DecisionRecord{From, View, Chosen, R.Now});
 }
 
 core::Value ShardHost::selectValue(NodeId From, const graph::Region &View) {
   return R.Opts.SelectValue(From, View);
 }
 
-void RunState::processShard(uint32_t S, SimTime T) {
-  Shard &Sh = Shards[S];
-  if (Sh.Heap.nextTime() != T)
-    return; // Nothing for this shard this round.
-  Sh.Now = T;
-  Sh.Heap.takeRound(Sh.Round);
-  for (Event &E : Sh.Round) {
-    ++Sh.Processed;
+void RunState::processShard(const ShardSlice &Slice) {
+  Shard &Sh = Shards[Slice.Shard];
+  for (uint32_t I = Slice.Begin; I < Slice.End; ++I) {
+    Event &E = Round[I];
     switch (E.K) {
     case Event::Deliver:
       if (slot(E.To).Dead) {
@@ -449,8 +625,7 @@ void RunState::processShard(uint32_t S, SimTime T) {
       if (!Arq) {
         // Stamp-and-verify (`link reliable`): a perfect link under the
         // FIFO clamp must deliver exactly in sequence.
-        net::ReliableChannelRecv<MsgPtr> &RH =
-            Sh.Recv[net::channelKey(E.From, E.To)];
+        RecvHalf &RH = Sh.Recv[E.RecvSlot];
         assert(E.ChanSeq == RH.CumSeq + 1 &&
                "perfect link delivered out of sequence");
         RH.CumSeq = E.ChanSeq;
@@ -461,10 +636,10 @@ void RunState::processShard(uint32_t S, SimTime T) {
       {
         // Full ARQ. The piggybacked ack retires the reverse channel's
         // window — staged, since send halves are merge-owned.
-        Sh.OutAcksSeen.push_back(OutAckSeen{E.To, E.From, E.ChanAck});
-        net::ReliableChannelRecv<MsgPtr> &RH =
-            Sh.Recv[net::channelKey(E.From, E.To)];
-        switch (RH.accept(E.ChanSeq, E.Msg, Sh.Released)) {
+        Sh.OutAcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, true});
+        RecvHalf &RH = Sh.Recv[E.RecvSlot];
+        switch (RH.accept(E.ChanSeq, Leg{std::move(E.Frame), E.Msg},
+                          Sh.Released)) {
         case net::RecvVerdict::Duplicate:
           ++Sh.ChanStats.DupSuppressed;
           break;
@@ -472,28 +647,29 @@ void RunState::processShard(uint32_t S, SimTime T) {
           ++Sh.ChanStats.Reordered;
           break;
         case net::RecvVerdict::Deliver:
-          for (MsgPtr &M : Sh.Released) {
+          for (Leg &L : Sh.Released) {
             ++Sh.Delivered;
-            liveNode(E.To).onDeliver(E.From, *M);
+            liveNode(E.To).onDeliver(E.From, *L.Msg);
           }
+          Sh.Released.clear();
           break;
         }
         // Ack every data arrival, duplicates included — the original ack
         // may have been the copy the link lost.
-        Sh.OutAcksOwed.push_back(OutAckSend{E.To, E.From, RH.CumSeq});
+        Sh.OutAcksOwed.push_back(OutAckSend{E.Chan, RH.CumSeq});
       }
       break;
     case Event::AckFrame:
       // A pure ack died with a crashed recipient; otherwise stage it for
-      // the merge to retire the (To -> From) window.
+      // the merge to retire the acked channel's window.
       if (!slot(E.To).Dead)
-        Sh.OutAcksSeen.push_back(OutAckSeen{E.To, E.From, E.ChanAck});
+        Sh.OutAcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, false});
       break;
     case Event::TimerCheck:
       // Timer for channel (To -> From). A dead sender retransmits
       // nothing; its windows were purged when the crash merged.
       if (!slot(E.To).Dead)
-        Sh.OutTimers.push_back(OutTimer{E.To, E.From});
+        Sh.OutTimers.push_back(E.Chan);
       break;
     case Event::CrashNotice:
       // Crashed watchers receive nothing (strong accuracy is structural:
@@ -524,126 +700,137 @@ void RunState::merge(SimTime T) {
   // finished.
   auto CrashExecuted = [&](NodeId N) { return slot(N).CrashTime <= T; };
 
+  // Only busy shards produced output; Busy is ascending, so every loop
+  // below drains shard 0 first, exactly as a walk over all shards would.
+
   // Crashes first, then subscriptions: a watcher subscribing in the same
   // round a target died is notified by the subscription path (the crash
   // path runs before the watcher is registered), never by both.
-  for (uint32_t S = 0; S < NumShards; ++S)
-    for (NodeId Crashed : Shards[S].OutCrashed) {
+  for (const ShardSlice &B : Busy)
+    for (NodeId Crashed : Shards[B.Shard].OutCrashed) {
       Regs.forEachWatcher(
           Crashed, [&](NodeId W) { scheduleNotice(W, Crashed, T); });
       if (PlaneOn && Arq)
         purgeChannels(Crashed);
     }
 
-  for (uint32_t S = 0; S < NumShards; ++S)
-    for (OutSub &Sub : Shards[S].OutSubs)
-      for (NodeId Target : Sub.Targets) {
-        if (Target == Sub.Watcher)
-          continue; // A node does not monitor itself.
-        if (!Regs.subscribe(Sub.Watcher, Target))
-          continue; // Already subscribed: at-most-once semantics.
-        if (CrashExecuted(Target))
-          scheduleNotice(Sub.Watcher, Target, T);
-      }
+  for (const ShardSlice &B : Busy)
+    for (const OutSub &Sub : Shards[B.Shard].OutSubs) {
+      if (!Regs.subscribe(Sub.Watcher, Sub.Target))
+        continue; // Already subscribed: at-most-once semantics.
+      if (CrashExecuted(Sub.Target))
+        scheduleNotice(Sub.Watcher, Sub.Target, T);
+    }
 
   // Fault-plane bookkeeping between the rounds: acks retire windows
   // first (so a frame acked this round is not also retransmitted this
   // round), then expired timers re-send what is still outstanding, then
   // receivers' owed pure acks enter the link.
   if (PlaneOn && Arq) {
-    for (uint32_t S = 0; S < NumShards; ++S)
-      for (OutAckSeen &A : Shards[S].OutAcksSeen) {
-        auto It = Send.find(net::channelKey(A.Sender, A.Peer));
-        if (It != Send.end())
-          It->second.onAck(A.Cum);
+    for (const ShardSlice &B : Busy)
+      for (const OutAckSeen &A : Shards[B.Shard].OutAcksSeen) {
+        uint32_t C = A.Piggyback ? Chans[A.Chan].Reverse : A.Chan;
+        if (C != NoChannel)
+          onAck(C, A.Cum);
       }
-    for (uint32_t S = 0; S < NumShards; ++S)
-      for (OutTimer &Ti : Shards[S].OutTimers)
-        onTimer(Ti.Sender, Ti.Peer, T);
-    for (uint32_t S = 0; S < NumShards; ++S)
-      for (OutAckSend &A : Shards[S].OutAcksOwed) {
+    for (const ShardSlice &B : Busy)
+      for (uint32_t C : Shards[B.Shard].OutTimers)
+        onTimer(C, T);
+    for (const ShardSlice &B : Busy)
+      for (const OutAckSend &A : Shards[B.Shard].OutAcksOwed) {
         ++ChanStats.AcksSent;
         ChanStats.AckBytes += net::pureAckSize(A.Cum);
         Event E;
         E.K = Event::AckFrame;
-        E.From = A.From;
-        E.To = A.To;
+        E.From = Chans[A.Chan].To;
+        E.To = Chans[A.Chan].From;
+        E.Chan = A.Chan;
         E.ChanAck = A.Cum;
         linkSchedule(std::move(E), T);
       }
   }
 
-  // Batched message delivery: one decode per frame, shared by every
-  // recipient; FIFO clamping per directed channel as in sim::Network.
+  // Batched message delivery: one decode per frame, into the message
+  // attached to its pooled buffer and shared by every recipient; FIFO
+  // clamping per directed channel as in sim::Network.
   const support::FrameBuf *LastFrame = nullptr;
-  std::shared_ptr<const core::Message> Decoded;
-  for (uint32_t S = 0; S < NumShards; ++S)
-    for (OutMsg &M : Shards[S].OutMsgs) {
+  const core::Message *Decoded = nullptr;
+  for (const ShardSlice &B : Busy)
+    for (OutMsg &M : Shards[B.Shard].OutMsgs) {
       if (M.Frame.get() != LastFrame) {
         // Legs of one multicast are contiguous in the outbox (frames are
-        // pool-recycled only after their last leg releases, so the raw
+        // pool-recycled only after their last leg releases, and every
+        // frame of this batch was acquired before the merge, so the raw
         // pointer cannot recur within one merge batch).
-        auto Parsed = std::make_shared<core::Message>();
-        core::decodeOwnFrame(M.From, *M.Frame, Views, *Parsed);
-        Decoded = std::move(Parsed);
+        bool Current = false;
+        ParsedFrame &P = M.Frame.attachment<ParsedFrame>(Current);
+        if (!Current)
+          core::decodeOwnFrame(M.From, *M.Frame, Views, P.Msg);
+        Decoded = &P.Msg;
         LastFrame = M.Frame.get();
       }
+      uint32_t PayloadBytes = static_cast<uint32_t>(M.Frame->size());
       Event E;
       E.K = Event::Deliver;
       E.From = M.From;
       E.To = M.To;
+      E.Frame = std::move(M.Frame);
       E.Msg = Decoded;
-      uint64_t Channel = net::channelKey(M.From, M.To);
+      uint32_t Bytes;
 
       if (PlaneOn && Arq) {
         // Reliability sublayer: stamp, account the wrapped wire size,
         // track for retransmission, hand the copies to the link. The
         // FIFO clamp is moot — the receive half restores order.
-        net::ReliableChannelSend<SendPayload> &SH = Send[Channel];
-        E.ChanSeq = SH.stamp();
-        E.ChanAck = recvCum(M.From, M.To);
-        E.Bytes = static_cast<uint32_t>(
-            net::wrappedFrameSize(M.Frame->size(), E.ChanSeq, E.ChanAck));
+        uint32_t C = channelId(M.From, M.To);
+        Channel &Ch = Chans[C];
+        E.Chan = C;
+        E.RecvSlot = Ch.RecvSlot;
+        E.ChanSeq = Ch.NextSeq++;
+        E.ChanAck = recvCum(C);
+        Bytes = static_cast<uint32_t>(
+            net::wrappedFrameSize(PayloadBytes, E.ChanSeq, E.ChanAck));
         ++Result.Stats.MessagesSent;
         ++Result.Stats.SentByNode.mut(M.From);
-        Result.Stats.BytesSent += E.Bytes;
+        Result.Stats.BytesSent += Bytes;
         if (Opts.RecordSends)
-          Result.SendLog.push_back(
-              sim::SendRecord{T, M.From, M.To, E.Bytes});
+          Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
         if (Opts.StreamingCheck)
-          Opts.StreamingCheck->onSend(T, M.From, M.To, E.Bytes);
-        if (slot(M.To).Dead || SH.Dead)
+          Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
+        if (slot(M.To).Dead || Ch.Dead)
           continue; // Channels to a crashed peer are abandoned.
-        SH.track(E.ChanSeq, T, SendPayload{Decoded, E.Bytes});
-        if (!SH.TimerArmed) {
-          SH.TimerArmed = true;
-          scheduleTimer(M.From, M.To, T + Rto);
+        track(C, E.ChanSeq, T, Leg{E.Frame, E.Msg});
+        if (!Ch.TimerArmed) {
+          Ch.TimerArmed = true;
+          scheduleTimer(C, T + Rto);
         }
         linkSchedule(std::move(E), T);
         continue;
       }
 
-      uint32_t PayloadBytes = static_cast<uint32_t>(M.Frame->size());
       if (PlaneOn && Opts.Link.Armed) {
         // Stamp-and-verify: sequence numbers ride along, nothing else.
-        net::ReliableChannelSend<SendPayload> &SH = Send[Channel];
-        E.ChanSeq = SH.stamp();
-        E.Bytes = static_cast<uint32_t>(
+        uint32_t C = channelId(M.From, M.To);
+        E.Chan = C;
+        E.RecvSlot = Chans[C].RecvSlot;
+        E.ChanSeq = Chans[C].NextSeq++;
+        Bytes = static_cast<uint32_t>(
             net::wrappedFrameSize(PayloadBytes, E.ChanSeq, 0));
       } else {
-        E.Bytes = PayloadBytes;
+        Bytes = PayloadBytes;
       }
       ++Result.Stats.MessagesSent;
       ++Result.Stats.SentByNode.mut(M.From);
-      Result.Stats.BytesSent += E.Bytes;
+      Result.Stats.BytesSent += Bytes;
       if (Opts.RecordSends)
-        Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, E.Bytes});
+        Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
       if (Opts.StreamingCheck)
-        Opts.StreamingCheck->onSend(T, M.From, M.To, E.Bytes);
+        Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
       E.When = T + (PlaneOn ? Link->baseLatency(Opts.Latency(M.From, M.To))
                             : Opts.Latency(M.From, M.To));
+      uint64_t ChannelKey = net::channelKey(M.From, M.To);
       if (!Opts.MonotoneLatency || PlaneOn) {
-        SimTime &Last = LastDelivery[Channel];
+        SimTime &Last = LastDelivery[ChannelKey];
         if (E.When < Last)
           E.When = Last;
         Last = E.When;
@@ -654,13 +841,13 @@ void RunState::merge(SimTime T) {
       // exactly there, so the order falls through to Seq — which is merge
       // (= send) order — while messages on *different* channels still
       // shuffle under the seeded permutation.
-      E.Key = channelTieKey(Channel, E.When);
+      E.Key = channelTieKey(ChannelKey, E.When);
       E.Seq = NextSeq++;
-      Shards[shardOf(E.To)].Heap.push(std::move(E));
+      push(std::move(E));
     }
 
-  for (uint32_t S = 0; S < NumShards; ++S) {
-    Shard &Sh = Shards[S];
+  for (const ShardSlice &B : Busy) {
+    Shard &Sh = Shards[B.Shard];
     for (trace::DecisionRecord &D : Sh.OutDecisions) {
       if (Opts.StreamingCheck)
         Opts.StreamingCheck->onDecision(D);
@@ -735,44 +922,34 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   // No <init> wave and no start merge: each node runs <init> on its first
   // touch (liveNode), inside the round that delivers its first event.
 
-  // Round loop: process the earliest timestamp everywhere, then merge.
+  // Round loop: drain the earliest timestamp, process the busy shards,
+  // then merge.
   uint64_t TotalProcessed = 0;
   bool Quiesced = true;
   unsigned Workers = std::max(1u, Opts.Workers);
   Workers = std::min<unsigned>(Workers, NumShards);
 
-  auto NextTime = [&]() -> SimTime {
-    SimTime T = TimeNever;
-    for (Shard &Sh : Run.Shards)
-      T = std::min(T, Sh.Heap.nextTime());
-    return T;
-  };
-
   if (Workers <= 1) {
-    for (;;) {
-      SimTime T = NextTime();
-      if (T == TimeNever)
-        break;
+    while (!Run.Calendar.empty()) {
       if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
         Quiesced = false;
         break;
       }
-      for (uint32_t S = 0; S < NumShards; ++S)
-        Run.processShard(S, T);
-      TotalProcessed = 0;
-      for (Shard &Sh : Run.Shards)
-        TotalProcessed += Sh.Processed;
+      SimTime T = Run.beginRound();
+      for (const ShardSlice &B : Run.Busy)
+        Run.processShard(B);
+      TotalProcessed += Run.Round.size();
       Run.merge(T);
     }
   } else {
-    // Persistent worker team, generation-stepped: the coordinator publishes
-    // a round's timestamp, workers process their shards (shard s belongs to
-    // worker s % Workers), the coordinator merges after the barrier.
+    // Persistent worker team, generation-stepped: the coordinator drains
+    // a round and publishes it, workers process the slices of their
+    // shards (shard s belongs to worker s % Workers), the coordinator
+    // merges after the barrier.
     std::mutex Mu;
     std::condition_variable StartCv, DoneCv;
     uint64_t Generation = 0;
     unsigned Remaining = 0;
-    SimTime RoundTime = 0;
     bool Stop = false;
 
     std::vector<std::thread> Team;
@@ -781,7 +958,6 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
       Team.emplace_back([&, W] {
         uint64_t Seen = 0;
         for (;;) {
-          SimTime T;
           {
             std::unique_lock<std::mutex> Lock(Mu);
             StartCv.wait(Lock,
@@ -789,10 +965,10 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
             if (Stop)
               return;
             Seen = Generation;
-            T = RoundTime;
           }
-          for (uint32_t S = W; S < NumShards; S += Workers)
-            Run.processShard(S, T);
+          for (const ShardSlice &B : Run.Busy)
+            if (B.Shard % Workers == W)
+              Run.processShard(B);
           {
             std::lock_guard<std::mutex> Lock(Mu);
             if (--Remaining == 0)
@@ -801,17 +977,14 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
         }
       });
 
-    for (;;) {
-      SimTime T = NextTime();
-      if (T == TimeNever)
-        break;
+    while (!Run.Calendar.empty()) {
       if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
         Quiesced = false;
         break;
       }
+      SimTime T = Run.beginRound();
       {
         std::lock_guard<std::mutex> Lock(Mu);
-        RoundTime = T;
         Remaining = Workers;
         ++Generation;
       }
@@ -820,9 +993,7 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
         std::unique_lock<std::mutex> Lock(Mu);
         DoneCv.wait(Lock, [&] { return Remaining == 0; });
       }
-      TotalProcessed = 0;
-      for (Shard &Sh : Run.Shards)
-        TotalProcessed += Sh.Processed;
+      TotalProcessed += Run.Round.size();
       Run.merge(T);
     }
 

@@ -432,6 +432,61 @@ TEST_P(EngineEquivalence, LossyLinksMatchZeroLossBaselineOnBothBackends) {
   }
 }
 
+/// Worker counts and shard counts the determinism sweeps cover: each
+/// worker count must reproduce the one-worker run at the same shard count
+/// (the shard count itself is part of the replay key: it orders the merge).
+constexpr unsigned SweepWorkers[] = {2, 4};
+constexpr uint32_t SweepShards[] = {7, 32};
+
+/// One sharded run of \p V at its first seed, freshly materialized (the
+/// latency closures draw from the run's own RNG).
+engine::EngineResult runSharded(const scenario::Spec &V, unsigned Workers,
+                                uint32_t Shards) {
+  scenario::MaterializedRun Run;
+  std::string Err;
+  EXPECT_TRUE(scenario::materializeSingle(V, V.SeedLo, Run, Err)) << Err;
+  engine::EngineOptions Opts;
+  Opts.Workers = Workers;
+  Opts.Shards = Shards;
+  engine::ShardedEngine Eng(Opts);
+  engine::EngineJob Job;
+  Job.G = &Run.Topo.G;
+  Job.Plan = &Run.Plan;
+  Job.Options = Run.Options;
+  Job.Seed = V.SeedLo;
+  return Eng.run(Job);
+}
+
+/// The full result of \p B equals that of \p A: decisions, events, sends,
+/// fault-plane counters and final max_views.
+void expectSameRun(const engine::EngineResult &A,
+                   const engine::EngineResult &B, const std::string &Where) {
+  ASSERT_EQ(A.Decisions.size(), B.Decisions.size()) << Where;
+  for (size_t I = 0; I < A.Decisions.size(); ++I) {
+    EXPECT_EQ(A.Decisions[I].Node, B.Decisions[I].Node) << Where;
+    EXPECT_EQ(A.Decisions[I].View, B.Decisions[I].View) << Where;
+    EXPECT_EQ(A.Decisions[I].Chosen, B.Decisions[I].Chosen) << Where;
+    EXPECT_EQ(A.Decisions[I].When, B.Decisions[I].When) << Where;
+  }
+  EXPECT_EQ(A.Events, B.Events) << Where;
+  EXPECT_EQ(A.Stats.MessagesSent, B.Stats.MessagesSent) << Where;
+  EXPECT_EQ(A.Stats.BytesSent, B.Stats.BytesSent) << Where;
+  EXPECT_EQ(A.Stats.Channel.Retransmits, B.Stats.Channel.Retransmits)
+      << Where;
+  EXPECT_EQ(A.Stats.Channel.DupSuppressed, B.Stats.Channel.DupSuppressed)
+      << Where;
+  EXPECT_EQ(A.Stats.Channel.LinkDropped, B.Stats.Channel.LinkDropped)
+      << Where;
+  EXPECT_EQ(A.Stats.Channel.AcksSent, B.Stats.Channel.AcksSent) << Where;
+  ASSERT_EQ(A.SendLog.size(), B.SendLog.size()) << Where;
+  for (size_t I = 0; I < A.SendLog.size(); ++I) {
+    EXPECT_EQ(A.SendLog[I].When, B.SendLog[I].When) << Where;
+    EXPECT_EQ(A.SendLog[I].From, B.SendLog[I].From) << Where;
+    EXPECT_EQ(A.SendLog[I].To, B.SendLog[I].To) << Where;
+  }
+  EXPECT_EQ(A.FinalMaxViews, B.FinalMaxViews) << Where;
+}
+
 /// Lossy sharded runs replay bit-for-bit at any worker count: every link
 /// draw happens at the serial merge, so the whole fault schedule — and
 /// with it the full result — is a pure function of (spec, seed).
@@ -451,59 +506,17 @@ TEST(EngineEquivalenceSuite, LossyShardedResultIndependentOfWorkers) {
     if (++Checked > 2)
       break;
     V.Link = Lossy;
-    scenario::MaterializedRun RunA, RunB;
-    std::string Err;
-    ASSERT_TRUE(scenario::materializeSingle(V, V.SeedLo, RunA, Err)) << Err;
-    ASSERT_TRUE(scenario::materializeSingle(V, V.SeedLo, RunB, Err)) << Err;
-
-    engine::EngineOptions One;
-    One.Workers = 1;
-    engine::EngineOptions Three;
-    Three.Workers = 3;
-    engine::ShardedEngine EngOne(One), EngThree(Three);
-
-    engine::EngineJob JobA;
-    JobA.G = &RunA.Topo.G;
-    JobA.Plan = &RunA.Plan;
-    JobA.Options = RunA.Options;
-    JobA.Seed = V.SeedLo;
-    engine::EngineJob JobB;
-    JobB.G = &RunB.Topo.G;
-    JobB.Plan = &RunB.Plan;
-    JobB.Options = RunB.Options;
-    JobB.Seed = V.SeedLo;
-
-    engine::EngineResult A = EngOne.run(JobA);
-    engine::EngineResult B = EngThree.run(JobB);
-
-    ASSERT_EQ(A.Decisions.size(), B.Decisions.size()) << Scn.File;
-    for (size_t I = 0; I < A.Decisions.size(); ++I) {
-      EXPECT_EQ(A.Decisions[I].Node, B.Decisions[I].Node) << Scn.File;
-      EXPECT_EQ(A.Decisions[I].View, B.Decisions[I].View) << Scn.File;
-      EXPECT_EQ(A.Decisions[I].When, B.Decisions[I].When) << Scn.File;
+    for (uint32_t Shards : SweepShards) {
+      engine::EngineResult A = runSharded(V, 1, Shards);
+      for (unsigned Workers : SweepWorkers)
+        expectSameRun(A, runSharded(V, Workers, Shards),
+                      Scn.File + " shards " + std::to_string(Shards) +
+                          " workers " + std::to_string(Workers));
+      // A 25% drop rate on real traffic must actually have exercised the
+      // plane for this determinism check to mean anything.
+      EXPECT_GT(A.Stats.Channel.LinkDropped, 0u) << Scn.File;
+      EXPECT_GT(A.Stats.Channel.Retransmits, 0u) << Scn.File;
     }
-    EXPECT_EQ(A.Events, B.Events) << Scn.File;
-    EXPECT_EQ(A.Stats.MessagesSent, B.Stats.MessagesSent) << Scn.File;
-    EXPECT_EQ(A.Stats.BytesSent, B.Stats.BytesSent) << Scn.File;
-    EXPECT_EQ(A.Stats.Channel.Retransmits, B.Stats.Channel.Retransmits)
-        << Scn.File;
-    EXPECT_EQ(A.Stats.Channel.DupSuppressed, B.Stats.Channel.DupSuppressed)
-        << Scn.File;
-    EXPECT_EQ(A.Stats.Channel.LinkDropped, B.Stats.Channel.LinkDropped)
-        << Scn.File;
-    EXPECT_EQ(A.Stats.Channel.AcksSent, B.Stats.Channel.AcksSent)
-        << Scn.File;
-    EXPECT_EQ(A.SendLog.size(), B.SendLog.size()) << Scn.File;
-    for (size_t I = 0; I < A.SendLog.size(); ++I) {
-      EXPECT_EQ(A.SendLog[I].When, B.SendLog[I].When) << Scn.File;
-      EXPECT_EQ(A.SendLog[I].From, B.SendLog[I].From) << Scn.File;
-      EXPECT_EQ(A.SendLog[I].To, B.SendLog[I].To) << Scn.File;
-    }
-    EXPECT_EQ(A.FinalMaxViews, B.FinalMaxViews) << Scn.File;
-    // A 25% drop rate on real traffic must actually have exercised the
-    // plane for this determinism check to mean anything.
-    EXPECT_GT(A.Stats.Channel.LinkDropped, 0u) << Scn.File;
-    EXPECT_GT(A.Stats.Channel.Retransmits, 0u) << Scn.File;
   }
   EXPECT_GE(Checked, 2u);
 }
@@ -599,48 +612,13 @@ TEST(EngineEquivalenceSuite, ShardedResultIndependentOfWorkers) {
     // suffice; every scenario is covered by the differential suite above.
     if (++Checked > 2)
       break;
-    scenario::MaterializedRun RunA, RunB;
-    std::string Err;
-    ASSERT_TRUE(scenario::materializeSingle(V, V.SeedLo, RunA, Err)) << Err;
-    ASSERT_TRUE(scenario::materializeSingle(V, V.SeedLo, RunB, Err)) << Err;
-
-    engine::EngineOptions One;
-    One.Workers = 1;
-    engine::EngineOptions Three;
-    Three.Workers = 3;
-    engine::ShardedEngine EngOne(One), EngThree(Three);
-
-    engine::EngineJob JobA;
-    JobA.G = &RunA.Topo.G;
-    JobA.Plan = &RunA.Plan;
-    JobA.Options = RunA.Options;
-    JobA.Seed = V.SeedLo;
-    engine::EngineJob JobB;
-    JobB.G = &RunB.Topo.G;
-    JobB.Plan = &RunB.Plan;
-    JobB.Options = RunB.Options;
-    JobB.Seed = V.SeedLo;
-
-    engine::EngineResult A = EngOne.run(JobA);
-    engine::EngineResult B = EngThree.run(JobB);
-
-    ASSERT_EQ(A.Decisions.size(), B.Decisions.size()) << Scn.File;
-    for (size_t I = 0; I < A.Decisions.size(); ++I) {
-      EXPECT_EQ(A.Decisions[I].Node, B.Decisions[I].Node) << Scn.File;
-      EXPECT_EQ(A.Decisions[I].View, B.Decisions[I].View) << Scn.File;
-      EXPECT_EQ(A.Decisions[I].Chosen, B.Decisions[I].Chosen) << Scn.File;
-      EXPECT_EQ(A.Decisions[I].When, B.Decisions[I].When) << Scn.File;
+    for (uint32_t Shards : SweepShards) {
+      engine::EngineResult A = runSharded(V, 1, Shards);
+      for (unsigned Workers : SweepWorkers)
+        expectSameRun(A, runSharded(V, Workers, Shards),
+                      Scn.File + " shards " + std::to_string(Shards) +
+                          " workers " + std::to_string(Workers));
     }
-    EXPECT_EQ(A.Events, B.Events) << Scn.File;
-    EXPECT_EQ(A.Stats.MessagesSent, B.Stats.MessagesSent) << Scn.File;
-    EXPECT_EQ(A.Stats.BytesSent, B.Stats.BytesSent) << Scn.File;
-    EXPECT_EQ(A.SendLog.size(), B.SendLog.size()) << Scn.File;
-    for (size_t I = 0; I < A.SendLog.size(); ++I) {
-      EXPECT_EQ(A.SendLog[I].When, B.SendLog[I].When) << Scn.File;
-      EXPECT_EQ(A.SendLog[I].From, B.SendLog[I].From) << Scn.File;
-      EXPECT_EQ(A.SendLog[I].To, B.SendLog[I].To) << Scn.File;
-    }
-    EXPECT_EQ(A.FinalMaxViews, B.FinalMaxViews) << Scn.File;
   }
   EXPECT_GE(Checked, 2u);
 }

@@ -183,6 +183,35 @@ scenario::Spec jitteredStormEarlyBiased() {
                     "crash random 10 6 at 100 spread 200\n");
 }
 
+/// A lossy cascade (one node every 5 ticks, detection after 5): a node
+/// handles the crash notice of its predecessor in the round its own crash
+/// executes, and multicasts there. Some of those legs go on channels it
+/// had already used, which the crash purges, so they are dropped; the
+/// others open new channels and are transmitted once. Pins that quirk:
+/// at seed 4, two such legs reach live peers on used channels and three
+/// on new ones; skipping the purge, or purging the new channels too,
+/// changes the sharded hash.
+scenario::Spec crashRoundMulticast() {
+  return parseOrDie("scenario crash-round-multicast\n"
+                    "topology torus:12x12\n"
+                    "latency uniform 1 10\n"
+                    "link drop:0.1 dup:0.02 reorder:5\n"
+                    "detect 5\n"
+                    "check on\n"
+                    "crash patch 2 2 3 at 100 gap 5\n");
+}
+
+/// Zero detection delay: every crash notice the merge schedules lands at
+/// the round's own timestamp and opens a sub-round there.
+scenario::Spec detectZero() {
+  return parseOrDie("scenario detect-zero\n"
+                    "topology torus:16x16\n"
+                    "latency uniform 1 30\n"
+                    "detect 0\n"
+                    "check on\n"
+                    "crash random 6 5 at 100 spread 100\n");
+}
+
 const GoldenCase Cases[] = {
     {"lossy_churn_service",
      [] { return loadScenario("lossy_churn_service.scn"); }, 1, 3,
@@ -210,6 +239,10 @@ const GoldenCase Cases[] = {
      0xe260421ca4a1e31aULL},
     {"jittered_storm_early_biased", jitteredStormEarlyBiased, 6, 1,
      0x3764ac7b7ef913a0ULL, 0xacf1f0d84b7ca6b4ULL},
+    {"crash_round_multicast", crashRoundMulticast, 4, 1,
+     0x59b47d1b0f1282ebULL, 0xc111a55116585306ULL},
+    {"detect_zero", detectZero, 4, 1, 0x0ca154bf30d7337aULL,
+     0xd078d76b9f519431ULL},
 };
 
 class EngineGolden : public ::testing::TestWithParam<size_t> {};

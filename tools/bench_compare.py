@@ -174,14 +174,6 @@ def distill(gbench):
             f"BM_RegionUnionInPlace/{arg}",
             f"region_union_alloc_over_inplace_{arg}",
         )
-    # The event-delivery bench: the DES std::function heap vs the sharded
-    # engine's calendar queue on an identical schedule/fire churn.
-    for arg in (1024, 16384):
-        ratio(
-            f"BM_SimulatorChurn/{arg}",
-            f"BM_EventDeliverySharded/{arg}",
-            f"event_delivery_speedup_{arg}",
-        )
     # The id-only v3 steady-state frames against the full-region v2 layout.
     for arg in (4, 32, 256):
         ratio(
@@ -248,6 +240,22 @@ def distill(gbench):
     dense = counters.get(("BM_DenseStormJob", "allocs_per_event"))
     if dense is not None:
         derived["dense_job_allocs_per_event"] = round(dense, 4)
+    # The same count for one lossy sharded job (lossy_churn shape:
+    # sharded merge, net ARQ, streaming checker).
+    lossy = counters.get(("BM_LossyChurnJob", "allocs_per_event"))
+    if lossy is not None:
+        derived["lossy_job_allocs_per_event"] = round(lossy, 4)
+    # Heap allocations per event of the sharded calendar once warm, the
+    # larger of its two depths: zero unless something allocates per event
+    # or per timestamp ever seen. Kept to three significant digits, not
+    # rounded to a fixed place: an index growing with every timestamp
+    # allocates about once per million events.
+    queue = [counters.get((f"BM_EventDeliverySharded/{arg}",
+                           "allocs_per_event")) for arg in (1024, 16384)]
+    queue = [value for value in queue if value is not None]
+    if queue:
+        derived["event_queue_allocs_per_event"] = float(
+            f"{max(queue):.3g}")
     # Steady-state allocation accounting from the operator-new hook.
     allocs = counters.get(("BM_RoundProcessing_Allocs", "allocs_per_msg"))
     if allocs is not None:
@@ -300,7 +308,9 @@ WALL_CLOCK_DERIVED = {"engine_quake_des_speedup_vs_pr3"}
 # absolute times it never gates — the RSS ceiling is the committed bound.
 LOWER_IS_BETTER = {"engine_million_peak_rss_mb", "engine_million_des_ms",
                    "idle_job_alloc_mb", "idle_job_alloc_mb_des",
-                   "idle_job_alloc_mb_sharded", "dense_job_allocs_per_event"}
+                   "idle_job_alloc_mb_sharded", "dense_job_allocs_per_event",
+                   "lossy_job_allocs_per_event",
+                   "event_queue_allocs_per_event"}
 
 
 def compare(baseline, fresh, threshold, absolute="gate"):
