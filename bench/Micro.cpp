@@ -8,12 +8,11 @@
 /// \file
 /// Microbenchmarks of the hot paths under the protocol: region set
 /// algebra, border computation, connected components, ranking comparisons,
-/// wire encode/decode, the event engine, and — most importantly — the
-/// crash-burst view-construction kernel of Algorithm 1 in both its batch
-/// (pre-overhaul, full connectedComponents rescan per crash) and
-/// incremental (union-find) forms. The *_BatchRescan / *_Incremental pair
-/// is the before/after evidence tools/bench_compare.py turns into the
-/// crash_burst_speedup metric of BENCH_micro.json.
+/// wire encode/decode, the event engine, world construction, whole jobs
+/// on the million-node, dense and lossy worlds, and the crash-burst
+/// view-construction kernel of Algorithm 1 (the incremental union-find
+/// tracker CliffEdgeNode::onCrash runs). tools/bench_compare.py distills
+/// the run into BENCH_micro.json and gates its deterministic counts.
 ///
 /// Run with --benchmark_format=json for machine-readable output.
 ///
@@ -57,10 +56,12 @@ using namespace cliffedge;
 // assert the steady-state data plane runs allocation-free (gated as
 // round_processing_allocs_per_msg <= 0); BM_IdleJob uses the bytes to
 // assert an idle job's cost does not scale with the world (gated as
-// idle_job_alloc_mb); BM_DenseStormJob divides the count by processed
-// events (gated as dense_job_allocs_per_event); the crash-burst benches
-// record it per run so the zero-loss bypass is gated on exact extra
-// allocations (reliable_channel_extra_allocs).
+// idle_job_alloc_mb) and BM_WorldBuild to gate one world build's bytes
+// (world_build_alloc_mb); BM_DenseStormJob divides the count by processed
+// events (gated as dense_job_allocs_per_event), BM_CrashBurst_Incremental
+// by crashes (crash_burst_allocs_per_crash_<side>); the crash-burst
+// benches record it per run so the zero-loss bypass is gated on exact
+// extra allocations (reliable_channel_extra_allocs).
 
 namespace {
 std::atomic<uint64_t> GAllocCount{0};
@@ -138,7 +139,7 @@ void BM_EngineMillion_Des(benchmark::State &State) {
   uint64_t Events = 0;
   for (auto _ : State) {
     engine::EngineJob Job;
-    Job.G = &Run.Topo.G;
+    Job.G = &Run.Topo->G;
     Job.Plan = &Run.Plan;
     Job.Options = Run.Options;
     Job.Seed = 1;
@@ -202,6 +203,36 @@ BENCHMARK_CAPTURE(BM_IdleJob, des, engine::BackendKind::Des)
 BENCHMARK_CAPTURE(BM_IdleJob, sharded, engine::BackendKind::Sharded)
     ->Unit(benchmark::kMillisecond);
 
+// -- World build: one million-node torus ---------------------------------------
+//
+// scenario::buildTopology("torus:1000x1000"), the world of
+// million_torus_quake.scn and of perfbench's sparse_million. The alloc_mb
+// counter is the heap bytes one build requests (operator-new hook,
+// deterministic on any host): the final CSR is 8 MB of offsets plus 16 MB
+// of edges, so any scratch array a builder adds on top shows up whole.
+// bench_compare turns it into world_build_alloc_mb and gates it.
+void BM_WorldBuild(benchmark::State &State) {
+  uint64_t Bytes = 0;
+  for (auto _ : State) {
+    Rng Rand(1);
+    scenario::TopologyInfo Topo;
+    std::string Err;
+    GAllocBytes.store(0, std::memory_order_relaxed);
+    GAllocCounting.store(true, std::memory_order_relaxed);
+    bool Ok = scenario::buildTopology("torus:1000x1000", Rand, Topo, Err);
+    GAllocCounting.store(false, std::memory_order_relaxed);
+    Bytes = GAllocBytes.load(std::memory_order_relaxed);
+    if (!Ok || Topo.G.numEdges() != 2000000) {
+      State.SkipWithError("torus:1000x1000 did not build");
+      return;
+    }
+    benchmark::DoNotOptimize(Topo.G.adj(0).begin());
+  }
+  State.counters["alloc_mb"] =
+      static_cast<double>(Bytes) / (1024.0 * 1024.0);
+}
+BENCHMARK(BM_WorldBuild)->Unit(benchmark::kMillisecond);
+
 // -- Dense job: allocations per event on a jittered storm ---------------------
 //
 // One DES job of the dense_storm shape — a 16,384-node torus, jittered
@@ -243,7 +274,7 @@ void BM_DenseStormJob(benchmark::State &State) {
     }
     State.ResumeTiming();
     engine::EngineJob Job;
-    Job.G = &Run.Topo.G;
+    Job.G = &Run.Topo->G;
     Job.Plan = &Run.Plan;
     Job.Options = Run.Options;
     Job.Seed = 1;
@@ -252,7 +283,7 @@ void BM_DenseStormJob(benchmark::State &State) {
     {
       engine::EngineResult R = Eng.run(Job);
       trace::CheckResult C =
-          trace::checkAll(engine::toCheckInput(R, Run.Topo.G));
+          trace::checkAll(engine::toCheckInput(R, Run.Topo->G));
       Ok = Ok && R.Quiesced && C.Ok && !R.Decisions.empty();
       Events = R.Events;
     }
@@ -450,10 +481,14 @@ BENCHMARK(BM_RankingCompare);
 // A Side x Side patch of a 64x64 grid crashes node by node in a shuffled
 // order (components form, merge, and finally fuse into one region — the
 // paper's Fig. 1b growth pattern at scale). Per crash the bench runs the
-// view-construction step of Algorithm 1 lines 8-11. The BatchRescan variant
-// is the seed implementation: a full connectedComponents(LocallyCrashed)
-// rescan plus maxRankedRegion per event. The Incremental variant is what
-// CliffEdgeNode::onCrash now does.
+// view-construction step of Algorithm 1 lines 8-11 the way
+// CliffEdgeNode::onCrash does: one union-find step of the incremental
+// tracker, then a ranking check against the current max view. Each pass
+// also counts its heap allocations (operator-new hook) per crash — tracker
+// set-up and max-view copies included — a deterministic figure that
+// bench_compare gates as crash_burst_allocs_per_crash_<side>. A tracker
+// that fell back to rescanning the crashed set with connectedComponents
+// allocates a member list per component per crash and trips it.
 
 std::vector<NodeId> burstOrder(uint32_t Side) {
   graph::Region Patch = graph::gridPatch(64, 8, 8, Side);
@@ -463,44 +498,34 @@ std::vector<NodeId> burstOrder(uint32_t Side) {
   return Order;
 }
 
-void BM_CrashBurst_BatchRescan(benchmark::State &State) {
-  graph::Graph G = graph::makeGrid(64, 64);
-  std::vector<NodeId> Order = burstOrder(static_cast<uint32_t>(State.range(0)));
-  for (auto _ : State) {
-    graph::Region Crashed, MaxView;
-    for (NodeId Q : Order) {
-      Crashed.insert(Q);
-      std::vector<graph::Region> Components = G.connectedComponents(Crashed);
-      const graph::Region &Best = graph::maxRankedRegion(G, Components);
-      if (graph::rankedLess(G, MaxView, Best))
-        MaxView = Best;
-    }
-    benchmark::DoNotOptimize(MaxView);
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Order.size()));
-}
-BENCHMARK(BM_CrashBurst_BatchRescan)->Arg(8)->Arg(16)->Arg(32);
-
 void BM_CrashBurst_Incremental(benchmark::State &State) {
   graph::Graph G = graph::makeGrid(64, 64);
   std::vector<NodeId> Order = burstOrder(static_cast<uint32_t>(State.range(0)));
+  uint64_t Allocs = 0;
   for (auto _ : State) {
-    graph::IncrementalComponents Tracker(G);
-    graph::Region MaxView;
-    size_t MaxViewBorder = graph::IncrementalComponents::UnknownBorder;
-    for (NodeId Q : Order) {
-      Tracker.addCrashed(Q);
-      if (Tracker.outranks(Q, MaxView, graph::RankingKind::SizeBorderLex,
-                           MaxViewBorder)) {
-        MaxView = Tracker.componentOf(Q);
-        MaxViewBorder = Tracker.componentBorderSize(Q);
+    GAllocCount.store(0, std::memory_order_relaxed);
+    GAllocCounting.store(true, std::memory_order_relaxed);
+    {
+      graph::IncrementalComponents Tracker(G);
+      graph::Region MaxView;
+      size_t MaxViewBorder = graph::IncrementalComponents::UnknownBorder;
+      for (NodeId Q : Order) {
+        Tracker.addCrashed(Q);
+        if (Tracker.outranks(Q, MaxView, graph::RankingKind::SizeBorderLex,
+                             MaxViewBorder)) {
+          MaxView = Tracker.componentOf(Q);
+          MaxViewBorder = Tracker.componentBorderSize(Q);
+        }
       }
+      benchmark::DoNotOptimize(MaxView);
     }
-    benchmark::DoNotOptimize(MaxView);
+    GAllocCounting.store(false, std::memory_order_relaxed);
+    Allocs = GAllocCount.load(std::memory_order_relaxed);
   }
   State.SetItemsProcessed(State.iterations() *
                           static_cast<int64_t>(Order.size()));
+  State.counters["allocs_per_crash"] =
+      static_cast<double>(Allocs) / static_cast<double>(Order.size());
 }
 BENCHMARK(BM_CrashBurst_Incremental)->Arg(8)->Arg(16)->Arg(32);
 
@@ -789,7 +814,7 @@ void runEngineStorm(benchmark::State &State, engine::Engine &Eng) {
   uint64_t Events = 0;
   for (auto _ : State) {
     engine::EngineJob Job;
-    Job.G = &Run.Topo.G;
+    Job.G = &Run.Topo->G;
     Job.Plan = &Run.Plan;
     Job.Options = Run.Options;
     Job.Seed = 1;

@@ -42,12 +42,12 @@ bool runOnce(const scenario::Spec &S, engine::EngineResult &Out,
   }
   std::unique_ptr<engine::Engine> Eng = engine::makeEngine(S.Backend);
   engine::EngineJob Job;
-  Job.G = &Run.Topo.G;
+  Job.G = &Run.Topo->G;
   Job.Plan = &Run.Plan;
   Job.Options = std::move(Run.Options);
   Job.Seed = 1;
   Out = Eng->run(Job);
-  Check = trace::checkAll(engine::toCheckInput(Out, Run.Topo.G));
+  Check = trace::checkAll(engine::toCheckInput(Out, Run.Topo->G));
   return true;
 }
 

@@ -16,8 +16,9 @@
 ///    discrete-event simulator (trace::ScenarioRunner) — the reference
 ///    interleaving source;
 ///  * ShardedEngine (engine/ShardedEngine.h) partitions the nodes over N
-///    shards with per-shard event queues and batched cross-shard delivery,
-///    replayable thanks to a seeded deterministic merge.
+///    shards on one run-wide event calendar, runs each round's busy shards
+///    in parallel and merges their cross-shard output in a seeded
+///    deterministic order, so every run replays.
 ///
 /// Running both backends on the same (spec, seed) and comparing CD1..CD7
 /// verdicts plus the final per-node max_views turns every scenario into a

@@ -14,91 +14,117 @@
 using namespace cliffedge;
 using namespace cliffedge::graph;
 
-namespace {
-
-/// Runs the deterministic edge enumeration \p Edges twice through
-/// Graph::CsrBuilder — once counting degrees, once placing endpoints — so
-/// regular lattices stream straight into their final CSR arrays. A
-/// million-node torus built this way costs exactly offsets + edges; the
-/// build-mode path would first materialize a million per-node vectors
-/// (hundreds of MB of allocator churn) only for compact() to throw them
-/// away. \p Edges receives an emit(A, B) callback; duplicate emissions
-/// collapse in build(), matching addEdge()'s duplicate tolerance.
-template <typename EdgeEnum>
-Graph buildStreaming(uint32_t N, EdgeEnum &&Edges) {
-  Graph::CsrBuilder Builder(N);
-  Edges([&Builder](NodeId A, NodeId B) { Builder.countEdge(A, B); });
-  Builder.beginEdges();
-  Edges([&Builder](NodeId A, NodeId B) { Builder.placeEdge(A, B); });
-  return Builder.build();
-}
-
-} // namespace
+// The deterministic families below hand each node's row to
+// Graph::RowBuilder in node order, so a lattice streams straight into its
+// final CSR arrays: a million-node torus costs exactly offsets + edges.
+// Rows are emitted ascending wherever the shape allows it cheaply (the
+// builder's fast path); wrap-around rows and chord fingers take the
+// builder's in-place sort, which also collapses the duplicate fingers of
+// small chord rings.
 
 Graph graph::makeLine(uint32_t N) {
-  return buildStreaming(N, [N](auto Emit) {
-    for (uint32_t I = 0; I + 1 < N; ++I)
-      Emit(I, I + 1);
-  });
+  Graph::RowBuilder B(N, N ? 2 * (uint64_t(N) - 1) : 0);
+  for (uint32_t I = 0; I < N; ++I) {
+    if (I > 0)
+      B.push(I - 1);
+    if (I + 1 < N)
+      B.push(I + 1);
+    B.endRow();
+  }
+  return B.build();
 }
 
 Graph graph::makeRing(uint32_t N) {
   assert(N >= 3 && "a ring needs at least three nodes");
-  return buildStreaming(N, [N](auto Emit) {
-    for (uint32_t I = 0; I < N; ++I)
-      Emit(I, (I + 1) % N);
-  });
+  Graph::RowBuilder B(N, 2 * uint64_t(N));
+  for (uint32_t I = 0; I < N; ++I) {
+    B.push(static_cast<NodeId>((uint64_t(I) + N - 1) % N));
+    B.push(static_cast<NodeId>((uint64_t(I) + 1) % N));
+    B.endRow();
+  }
+  return B.build();
 }
 
 Graph graph::makeGrid(uint32_t Width, uint32_t Height) {
-  return buildStreaming(Width * Height, [Width, Height](auto Emit) {
-    for (uint32_t Y = 0; Y < Height; ++Y) {
-      for (uint32_t X = 0; X < Width; ++X) {
-        NodeId Here = gridId(Width, X, Y);
-        if (X + 1 < Width)
-          Emit(Here, gridId(Width, X + 1, Y));
-        if (Y + 1 < Height)
-          Emit(Here, gridId(Width, X, Y + 1));
-      }
+  const uint64_t N = uint64_t(Width) * Height;
+  assert(N < InvalidNode && "grid exceeds the NodeId range");
+  // Up, left, right, down: ascending ids.
+  const uint64_t Edges =
+      N ? (uint64_t(Width) - 1) * Height + uint64_t(Width) * (Height - 1) : 0;
+  Graph::RowBuilder B(static_cast<uint32_t>(N), 2 * Edges);
+  for (uint32_t Y = 0; Y < Height; ++Y) {
+    for (uint32_t X = 0; X < Width; ++X) {
+      if (Y > 0)
+        B.push(gridId(Width, X, Y - 1));
+      if (X > 0)
+        B.push(gridId(Width, X - 1, Y));
+      if (X + 1 < Width)
+        B.push(gridId(Width, X + 1, Y));
+      if (Y + 1 < Height)
+        B.push(gridId(Width, X, Y + 1));
+      B.endRow();
     }
-  });
+  }
+  return B.build();
 }
 
 Graph graph::makeTorus(uint32_t Width, uint32_t Height) {
   assert(Width >= 3 && Height >= 3 && "torus needs 3x3 minimum");
-  return buildStreaming(Width * Height, [Width, Height](auto Emit) {
-    for (uint32_t Y = 0; Y < Height; ++Y) {
-      for (uint32_t X = 0; X < Width; ++X) {
-        NodeId Here = gridId(Width, X, Y);
-        Emit(Here, gridId(Width, (X + 1) % Width, Y));
-        Emit(Here, gridId(Width, X, (Y + 1) % Height));
-      }
+  const uint64_t N = uint64_t(Width) * Height;
+  assert(N < InvalidNode && "torus exceeds the NodeId range");
+  // Up, left, right, down: ascending except on the wrap-around rows.
+  Graph::RowBuilder B(static_cast<uint32_t>(N), 4 * N);
+  for (uint32_t Y = 0; Y < Height; ++Y) {
+    const uint32_t Up = Y ? Y - 1 : Height - 1;
+    const uint32_t Down = Y + 1 < Height ? Y + 1 : 0;
+    for (uint32_t X = 0; X < Width; ++X) {
+      B.push(gridId(Width, X, Up));
+      B.push(gridId(Width, X ? X - 1 : Width - 1, Y));
+      B.push(gridId(Width, X + 1 < Width ? X + 1 : 0, Y));
+      B.push(gridId(Width, X, Down));
+      B.endRow();
     }
-  });
+  }
+  return B.build();
 }
 
 Graph graph::makeComplete(uint32_t N) {
-  return buildStreaming(N, [N](auto Emit) {
-    for (uint32_t I = 0; I < N; ++I)
-      for (uint32_t J = I + 1; J < N; ++J)
-        Emit(I, J);
-  });
+  Graph::RowBuilder B(N, uint64_t(N) * (N ? N - 1 : 0));
+  for (uint32_t I = 0; I < N; ++I) {
+    for (uint32_t J = 0; J < N; ++J)
+      if (J != I)
+        B.push(J);
+    B.endRow();
+  }
+  return B.build();
 }
 
 Graph graph::makeStar(uint32_t N) {
   assert(N >= 2 && "a star needs a hub and at least one leaf");
-  return buildStreaming(N, [N](auto Emit) {
-    for (uint32_t I = 1; I < N; ++I)
-      Emit(0, I);
-  });
+  Graph::RowBuilder B(N, 2 * (uint64_t(N) - 1));
+  for (uint32_t I = 1; I < N; ++I)
+    B.push(I);
+  B.endRow();
+  for (uint32_t I = 1; I < N; ++I) {
+    B.push(0);
+    B.endRow();
+  }
+  return B.build();
 }
 
 Graph graph::makeTree(uint32_t N, uint32_t Arity) {
   assert(Arity >= 1 && "tree arity must be positive");
-  return buildStreaming(N, [N, Arity](auto Emit) {
-    for (uint32_t I = 1; I < N; ++I)
-      Emit(I, (I - 1) / Arity);
-  });
+  // Parent, then children: ascending.
+  Graph::RowBuilder B(N, N ? 2 * (uint64_t(N) - 1) : 0);
+  for (uint32_t I = 0; I < N; ++I) {
+    if (I > 0)
+      B.push((I - 1) / Arity);
+    const uint64_t FirstChild = uint64_t(I) * Arity + 1;
+    for (uint64_t C = FirstChild; C < FirstChild + Arity && C < N; ++C)
+      B.push(static_cast<NodeId>(C));
+    B.endRow();
+  }
+  return B.build();
 }
 
 Graph graph::makeErdosRenyi(uint32_t N, double P, Rng &Rand,
@@ -173,13 +199,21 @@ Graph graph::makeRandomGeometric(uint32_t N, double Radius, Rng &Rand,
 
 Graph graph::makeHypercube(uint32_t Dim) {
   assert(Dim >= 1 && Dim < 31 && "hypercube dimension out of range");
-  uint32_t N = 1u << Dim;
-  return buildStreaming(N, [N, Dim](auto Emit) {
-    for (uint32_t I = 0; I < N; ++I)
-      for (uint32_t Bit = 0; Bit < Dim; ++Bit)
-        if (I < (I ^ (1u << Bit)))
-          Emit(I, I ^ (1u << Bit));
-  });
+  const uint32_t N = 1u << Dim;
+  // Clearing a set bit gives a smaller id (smallest for the highest bit),
+  // setting a clear bit a larger one: high-to-low clears, then low-to-high
+  // sets, is ascending.
+  Graph::RowBuilder B(N, uint64_t(N) * Dim);
+  for (uint32_t I = 0; I < N; ++I) {
+    for (uint32_t Bit = Dim; Bit-- > 0;)
+      if (I & (1u << Bit))
+        B.push(I ^ (1u << Bit));
+    for (uint32_t Bit = 0; Bit < Dim; ++Bit)
+      if (!(I & (1u << Bit)))
+        B.push(I | (1u << Bit));
+    B.endRow();
+  }
+  return B.build();
 }
 
 Graph graph::makeBarabasiAlbert(uint32_t N, uint32_t M, Rng &Rand) {
@@ -216,17 +250,22 @@ Graph graph::makeBarabasiAlbert(uint32_t N, uint32_t M, Rng &Rand) {
 
 Graph graph::makeChordRing(uint32_t N, uint32_t Fingers) {
   assert(N >= 3 && "chord ring needs at least three nodes");
-  return buildStreaming(N, [N, Fingers](auto Emit) {
-    for (uint32_t I = 0; I < N; ++I) {
-      Emit(I, (I + 1) % N); // Successor links.
-      for (uint32_t K = 1; K <= Fingers; ++K) {
-        uint32_t Jump = 1u << K;
-        if (Jump >= N)
-          break;
-        Emit(I, (I + Jump) % N);
-      }
+  // Node i links to i + 2^k (mod N) for k = 0 (the successor) and every
+  // finger k = 1..Fingers with 2^k < N, so its row holds i +- 2^k for each
+  // such k. On small rings +2^k and -2^k can meet; endRow() dedups them.
+  uint32_t Jumps = 1;
+  while (Jumps <= Fingers && Jumps < 32 && (1u << Jumps) < N)
+    ++Jumps;
+  Graph::RowBuilder B(N, 2 * uint64_t(N) * Jumps);
+  for (uint32_t I = 0; I < N; ++I) {
+    for (uint32_t K = 0; K < Jumps; ++K) {
+      const uint32_t Jump = 1u << K;
+      B.push(static_cast<NodeId>((uint64_t(I) + Jump) % N));
+      B.push(static_cast<NodeId>((uint64_t(I) + N - Jump) % N));
     }
-  });
+    B.endRow();
+  }
+  return B.build();
 }
 
 Fig1World graph::makeFig1World() {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 using namespace cliffedge;
 using namespace cliffedge::graph;
@@ -26,9 +27,14 @@ NodeId Graph::addNode(std::string Name) {
   assert(!compacted() && "addNode on a compacted graph");
   Adj.emplace_back();
   ++NumNodes;
+  // Bulk-constructed nodes before this one become unnamed entries; every
+  // new entry joins the index. emplace keeps the first insertion, so
+  // duplicate names resolve to the smallest id.
+  size_t First = Names.size();
   Names.resize(NumNodes - size_t(1));
   Names.push_back(std::move(Name));
-  NameIndexValid = false;
+  for (size_t I = First; I < Names.size(); ++I)
+    NameIndex.emplace(Names[I], static_cast<NodeId>(I));
   return static_cast<NodeId>(Adj.size() - 1);
 }
 
@@ -75,15 +81,6 @@ const std::string &Graph::name(NodeId Node) const {
 }
 
 NodeId Graph::findByName(const std::string &Name) const {
-  if (!NameIndexValid) {
-    NameIndex.clear();
-    NameIndex.reserve(Names.size());
-    // emplace keeps the first insertion, so duplicate names resolve to the
-    // smallest id, like the linear scan this index replaced.
-    for (NodeId I = 0; I < Names.size(); ++I)
-      NameIndex.emplace(Names[I], I);
-    NameIndexValid = true;
-  }
   auto It = NameIndex.find(Name);
   return It == NameIndex.end() ? InvalidNode : It->second;
 }
@@ -150,69 +147,44 @@ bool Graph::isConnectedRegion(const Region &S) const {
 }
 
 //===----------------------------------------------------------------------===//
-// CsrBuilder
+// RowBuilder
 //===----------------------------------------------------------------------===//
 
-Graph::CsrBuilder::CsrBuilder(uint32_t InNumNodes)
-    : NumNodes(InNumNodes), Offsets(size_t(InNumNodes) + 1, 0) {}
-
-void Graph::CsrBuilder::countEdge(NodeId A, NodeId B) {
-  assert(!Placing && "countEdge after beginEdges()");
-  assert(A < NumNodes && B < NumNodes && "edge endpoint out of range");
-  assert(A != B && "self-loops are not part of the system model");
-  ++Offsets[size_t(A) + 1];
-  ++Offsets[size_t(B) + 1];
+// Both arrays are reserved, never resized: push_back writes each offset
+// and edge exactly once, where a resize would first zero-fill the 24 MB
+// of a million-node torus only to overwrite it.
+Graph::RowBuilder::RowBuilder(uint32_t InNumNodes, uint64_t MaxEntries)
+    : NumNodes(InNumNodes) {
+  Offsets.reserve(size_t(InNumNodes) + 1);
+  Offsets.push_back(0);
+  Edges.reserve(MaxEntries);
 }
 
-void Graph::CsrBuilder::beginEdges() {
-  assert(!Placing && "beginEdges() called twice");
-  Placing = true;
-  for (size_t I = 1; I <= NumNodes; ++I)
-    Offsets[I] += Offsets[I - 1];
-  Edges.resize(Offsets[NumNodes]);
-  // Row i fills [Offsets[i], Offsets[i+1]); the cursors track the fill.
-  Cursor.assign(Offsets.begin(), Offsets.end() - 1);
-}
-
-void Graph::CsrBuilder::placeEdge(NodeId A, NodeId B) {
-  assert(Placing && "placeEdge before beginEdges()");
-  assert(A < NumNodes && B < NumNodes && "edge endpoint out of range");
-  assert(A != B && "self-loops are not part of the system model");
-  assert(Cursor[A] < Offsets[size_t(A) + 1] && Cursor[B] < Offsets[size_t(B) + 1] &&
-         "pass 2 emitted an edge pass 1 did not count");
-  Edges[Cursor[A]++] = B;
-  Edges[Cursor[B]++] = A;
-}
-
-Graph Graph::CsrBuilder::build() {
-  assert(Placing && "build() before beginEdges()");
-#ifndef NDEBUG
-  for (NodeId N = 0; N < NumNodes; ++N)
-    assert(Cursor[N] == Offsets[size_t(N) + 1] &&
-           "pass 1 counted an edge pass 2 did not place");
-#endif
-  std::vector<uint64_t>().swap(Cursor);
-  // Sort and de-duplicate each row, compacting the edge array in place.
-  // The write position never passes the read position, so rows shift left
-  // over the duplicates they shed.
-  uint64_t Write = 0;
-  uint64_t Begin = 0;
-  for (NodeId N = 0; N < NumNodes; ++N) {
-    const uint64_t End = Offsets[size_t(N) + 1];
-    std::sort(Edges.begin() + Begin, Edges.begin() + End);
-    uint64_t RowWrite = Write;
-    for (uint64_t I = Begin; I < End; ++I)
-      if (I == Begin || Edges[I] != Edges[I - 1])
-        Edges[RowWrite++] = Edges[I];
-    Begin = End;
-    Write = RowWrite;
-    Offsets[size_t(N) + 1] = Write;
+void Graph::RowBuilder::endRow() {
+  assert(Offsets.size() <= NumNodes && "endRow past the last row");
+  auto First = Edges.begin() + static_cast<ptrdiff_t>(Offsets.back());
+  // Fast path: a strictly ascending row is already sorted and unique.
+  if (std::adjacent_find(First, Edges.end(), std::greater_equal<NodeId>()) !=
+      Edges.end()) {
+    std::sort(First, Edges.end());
+    Edges.erase(std::unique(First, Edges.end()), Edges.end());
   }
-  Edges.resize(Write);
+  Offsets.push_back(Edges.size());
+}
+
+Graph Graph::RowBuilder::build() {
+  assert(Offsets.size() == size_t(NumNodes) + 1 &&
+         "build() before every row was sealed");
   Graph G;
   G.NumNodes = NumNodes;
   G.CsrOffsets = std::move(Offsets);
   G.CsrEdges = std::move(Edges);
-  G.EdgeCount = static_cast<size_t>(Write / 2);
+  G.CsrEdges.shrink_to_fit();
+  G.EdgeCount = G.CsrEdges.size() / 2;
+#ifndef NDEBUG
+  for (NodeId N = 0; N < NumNodes; ++N)
+    for (NodeId M : G.adj(N))
+      assert(G.hasEdge(M, N) && "row builder input is not symmetric");
+#endif
   return G;
 }

@@ -108,9 +108,8 @@ public:
 
   /// Returns the id of the node named \p Name, or InvalidNode. Ties (two
   /// nodes with the same name) resolve to the smallest id. Backed by a
-  /// lazily-built name index; the first call after construction builds it,
-  /// so that call must not race with others (the usual build-then-share
-  /// pattern is fine).
+  /// name index that addNode() keeps current, so a const graph holds no
+  /// lazily mutated state and may be shared across threads freely.
   NodeId findByName(const std::string &Name) const;
 
   /// Returns a readable label: the name when present, else "nK".
@@ -135,40 +134,46 @@ public:
   /// *region* in the paper's sense (§2.2).
   bool isConnectedRegion(const Region &S) const;
 
-  /// Two-pass streaming CSR construction: enumerate edges once to count
-  /// degrees, prefix-sum into offsets, enumerate again to place endpoints,
-  /// then sort/dedup each row in place. Unlike build mode + compact(),
-  /// nothing ever materializes per-node adjacency vectors, so a
-  /// million-node lattice costs exactly its final flat arrays. The two
-  /// enumerations must emit the identical multiset of undirected edges
-  /// (duplicates and both orientations are tolerated — rows dedup in
-  /// build()); self-loops are forbidden as everywhere else.
-  class CsrBuilder {
+  /// One-pass CSR construction: rows arrive in node order and append
+  /// straight into the final offset and edge arrays, so a million-node
+  /// lattice costs one write of its CSR and no scratch array. The edge
+  /// array is sized once from the caller's bound on the total row length;
+  /// a row that arrives strictly ascending is taken as is, any other row
+  /// is sorted and de-duplicated in place (rows are short). Generators
+  /// therefore emit rows ascending where that is cheap and duplicates
+  /// only where the shape has them. Each undirected edge must appear in
+  /// both endpoints' rows — debug builds check that symmetry in build() —
+  /// and self-loops are forbidden as everywhere else.
+  class RowBuilder {
   public:
-    explicit CsrBuilder(uint32_t NumNodes);
+    /// \p MaxEntries bounds the summed length of all rows as pushed
+    /// (duplicates included); it sizes the edge array.
+    RowBuilder(uint32_t NumNodes, uint64_t MaxEntries);
 
-    /// Pass 1: declare the undirected edge {A, B}.
-    void countEdge(NodeId A, NodeId B);
+    /// Appends \p Neighbor to the current node's row.
+    void push(NodeId Neighbor) {
+      assert(Offsets.size() <= NumNodes && "push past the last row");
+      assert(Neighbor < NumNodes && "edge endpoint out of range");
+      assert(Neighbor != Offsets.size() - 1 &&
+             "self-loops are not part of the system model");
+      assert(Edges.size() < Edges.capacity() && "rows exceed MaxEntries");
+      Edges.push_back(Neighbor);
+    }
 
-    /// Seals pass 1: prefix-sums degrees and sizes the edge array.
-    void beginEdges();
+    /// Seals the current node's row and moves on to the next node.
+    void endRow();
 
-    /// Pass 2: place the undirected edge {A, B}.
-    void placeEdge(NodeId A, NodeId B);
-
-    /// Sorts and de-duplicates every row and returns the compacted graph.
-    /// The builder is consumed.
+    /// Returns the compacted graph once every row is sealed. Spare
+    /// capacity (MaxEntries above the deduped total) is trimmed. The
+    /// builder is consumed.
     Graph build();
 
   private:
     uint32_t NumNodes = 0;
-    /// During pass 1: Offsets[i+1] holds degree(i); after beginEdges(),
-    /// Offsets[i+1] is the end of row i; after build(), the deduped ends.
+    /// Offsets[n+1] is the end of row n once sealed; the current row,
+    /// node Offsets.size() - 1's, spans Edges[Offsets.back() ..).
     std::vector<uint64_t> Offsets;
-    /// Per-row write cursors during pass 2.
-    std::vector<uint64_t> Cursor;
     std::vector<NodeId> Edges;
-    bool Placing = false;
   };
 
 private:
@@ -182,9 +187,8 @@ private:
   std::vector<std::string> Names;
   size_t EdgeCount = 0;
 
-  /// Lazy name -> smallest id index; rebuilt on demand after addNode().
-  mutable std::unordered_map<std::string, NodeId> NameIndex;
-  mutable bool NameIndexValid = false;
+  /// Name -> smallest id, maintained by addNode().
+  std::unordered_map<std::string, NodeId> NameIndex;
 };
 
 } // namespace graph

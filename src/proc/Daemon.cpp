@@ -310,7 +310,7 @@ bool Daemon::handshake() {
 bool Daemon::buildWorld(std::string &Err) {
   if (!scenario::materializeSingle(Spec, Seed, Run, Err))
     return false;
-  const graph::Graph &G = Run.Topo.G;
+  const graph::Graph &G = Run.Topo->G;
   uint32_t N = G.numNodes();
   NodeShard.assign(N, NumShards); // Sentinel: unassigned.
   for (uint16_t S = 0; S < NumShards; ++S)

@@ -167,7 +167,7 @@ bool WorldRun::partition(ProcResult &Out, std::string &Err) {
 
   std::vector<NodeId> Survivors;
   graph::Region Faulty = Run.Plan.faultySet();
-  for (NodeId N = 0; N < Run.Topo.G.numNodes(); ++N)
+  for (NodeId N = 0; N < Run.Topo->G.numNodes(); ++N)
     if (!Faulty.contains(N))
       Survivors.push_back(N);
   if (Survivors.empty()) {
@@ -674,7 +674,7 @@ bool WorldRun::run(ProcResult &Out, std::string &Err) {
   for (Child &C : Children)
     Streams.push_back(std::move(C.Stream));
   std::string MergeErr;
-  if (!report::mergeEventStreams(Streams, Run.Topo.G.numNodes(), Out.Trace,
+  if (!report::mergeEventStreams(Streams, Run.Topo->G.numNodes(), Out.Trace,
                                  MergeErr))
     return infraFail(Out, FailureClass::UnexpectedExit,
                      "event merge failed: " + MergeErr);
@@ -684,7 +684,7 @@ bool WorldRun::run(ProcResult &Out, std::string &Err) {
                        "killed node " + std::to_string(N) +
                            " was never suspected despite quiescence");
   trace::CheckInput In;
-  In.G = &Run.Topo.G;
+  In.G = &Run.Topo->G;
   In.Faulty = Out.Faulty;
   In.CrashTimes = Out.Trace.CrashTimes;
   In.Decisions = Out.Trace.Decisions;

@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 using namespace cliffedge;
@@ -116,14 +118,22 @@ static JobOutcome runOneProcJob(const Spec &V, uint64_t Seed) {
   return Out;
 }
 
-JobOutcome CampaignRunner::runOneJob(const Spec &V, uint64_t Seed,
-                                     unsigned EngineWorkers) {
-  if (V.Transport == TransportKind::Proc)
-    return runOneProcJob(V, Seed);
-
+/// A fresh outcome for (\p V, \p Seed): the fields every simulated job
+/// fills before it can fail.
+static JobOutcome startOutcome(const Spec &V, uint64_t Seed) {
   JobOutcome Out;
   Out.Seed = Seed;
   Out.Epochs = V.ServiceEpochs ? V.ServiceEpochs : V.Epochs.size();
+  return Out;
+}
+
+JobOutcome CampaignRunner::runOneJob(const Spec &V, uint64_t Seed,
+                                     unsigned EngineWorkers,
+                                     const TopologyInfo *World) {
+  if (V.Transport == TransportKind::Proc)
+    return runOneProcJob(V, Seed);
+
+  JobOutcome Out = startOutcome(V, Seed);
 
   engine::EngineOptions EngOpts;
   EngOpts.Workers = EngineWorkers;
@@ -132,19 +142,19 @@ JobOutcome CampaignRunner::runOneJob(const Spec &V, uint64_t Seed,
 
   if (V.Epochs.size() == 1 && V.ServiceEpochs == 0) {
     MaterializedRun Run;
-    if (!materializeSingle(V, Seed, Run, Out.Error))
+    if (!materializeSingle(V, Seed, Run, Out.Error, World))
       return Out;
     // Online checking: the engine feeds the checker as it goes and the
     // send log stays off — the run's memory is bounded by open agreement
     // state, not trace length.
     std::unique_ptr<trace::StreamingChecker> SC;
     if (V.Streaming && V.Check) {
-      SC = std::make_unique<trace::StreamingChecker>(Run.Topo.G);
+      SC = std::make_unique<trace::StreamingChecker>(Run.Topo->G);
       Run.Options.StreamingCheck = SC.get();
       Run.Options.RecordSends = false;
     }
     engine::EngineJob Job;
-    Job.G = &Run.Topo.G;
+    Job.G = &Run.Topo->G;
     Job.Plan = &Run.Plan;
     Job.Options = std::move(Run.Options);
     Job.Seed = Seed;
@@ -176,7 +186,7 @@ JobOutcome CampaignRunner::runOneJob(const Spec &V, uint64_t Seed,
     if (V.Check) {
       trace::CheckResult Res =
           SC ? SC->sealEpoch()
-             : trace::checkAll(engine::toCheckInput(R, Run.Topo.G));
+             : trace::checkAll(engine::toCheckInput(R, Run.Topo->G));
       Out.SpecOk = Res.Ok;
       Out.Violations = std::move(Res.Violations);
       if (SC)
@@ -188,12 +198,15 @@ JobOutcome CampaignRunner::runOneJob(const Spec &V, uint64_t Seed,
   }
 
   // Multi-epoch (scripted or generated service churn): one EpochRunner
-  // over a shared topology; the plan RNG is consumed sequentially across
+  // over one topology; the plan RNG is consumed sequentially across
   // epochs so the whole lifecycle replays from (spec, seed).
-  Rng TopoRand(Seed);
-  TopologyInfo Topo;
-  if (!buildTopology(V.Topology, TopoRand, Topo, Out.Error))
-    return Out;
+  TopologyInfo OwnedTopo;
+  if (!World) {
+    if (!buildWorld(V, Seed, OwnedTopo, Out.Error))
+      return Out;
+    World = &OwnedTopo;
+  }
+  const TopologyInfo &Topo = *World;
   SplitMix64 Sub(Seed);
   Rng PlanRand(Sub.next());
   Rng LatRand(Sub.next());
@@ -268,6 +281,26 @@ CampaignSummary CampaignRunner::run(const CampaignOptions &Opts) {
   Summary.Jobs = Jobs;
   Summary.Results.resize(Jobs);
 
+  // One world per variant whose topology does not draw from the seed:
+  // the first of its jobs to run builds it, every job of the variant
+  // borrows it read-only, and the last to finish frees it — so only the
+  // worlds of variants with jobs still to run are held. Seeded kinds (and
+  // proc jobs, whose launcher builds its own) keep one world per job.
+  struct VariantWorld {
+    bool Shared = false;
+    std::mutex M;
+    bool Built = false;
+    std::unique_ptr<TopologyInfo> Topo; ///< Null once freed or on error.
+    std::string Error;
+    size_t Pending = 0; ///< Jobs of the variant not yet finished.
+  };
+  std::vector<VariantWorld> Worlds(Variants.size());
+  for (size_t V = 0; V < Variants.size(); ++V) {
+    Worlds[V].Shared = Variants[V].Transport == TransportKind::Sim &&
+                       !topologyDrawsFromSeed(Variants[V].Topology);
+    Worlds[V].Pending = Seeds;
+  }
+
   // Static job list; outcomes land in per-job slots, so the summary is
   // independent of worker count and scheduling.
   std::atomic<size_t> NextJob{0};
@@ -281,9 +314,34 @@ CampaignSummary CampaignRunner::run(const CampaignOptions &Opts) {
       if (I >= Jobs)
         return;
       size_t VariantIdx = I / Seeds;
+      const Spec &V = Variants[VariantIdx];
       uint64_t Seed = Base.SeedLo + (I % Seeds);
-      JobOutcome Out =
-          runOneJob(Variants[VariantIdx], Seed, Opts.EngineWorkers);
+      VariantWorld &W = Worlds[VariantIdx];
+      JobOutcome Out;
+      if (!W.Shared) {
+        Out = runOneJob(V, Seed, Opts.EngineWorkers);
+      } else {
+        const TopologyInfo *World;
+        {
+          std::lock_guard<std::mutex> Lock(W.M);
+          if (!W.Built) {
+            W.Built = true;
+            W.Topo = std::make_unique<TopologyInfo>();
+            if (!buildWorld(V, Seed, *W.Topo, W.Error))
+              W.Topo.reset();
+          }
+          World = W.Topo.get();
+        }
+        if (World) {
+          Out = runOneJob(V, Seed, Opts.EngineWorkers, World);
+        } else {
+          Out = startOutcome(V, Seed);
+          Out.Error = W.Error;
+        }
+        std::lock_guard<std::mutex> Lock(W.M);
+        if (--W.Pending == 0)
+          W.Topo.reset();
+      }
       Out.Index = I;
       Out.Variant = Labels[VariantIdx];
       Summary.Results[I] = std::move(Out);

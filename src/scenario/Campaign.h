@@ -8,8 +8,11 @@
 /// \file
 /// CampaignRunner expands a Spec's sweep axes and seed range into a job
 /// matrix (cartesian product, jobs = seeds x prod(|axis|)) and executes the
-/// jobs on a std::thread pool. Each job materializes its own topology,
-/// crash plan and RNG streams from nothing but (variant, seed), runs
+/// jobs on a std::thread pool. Each job materializes its crash plan and
+/// RNG streams from nothing but (variant, seed) and runs on the variant's
+/// world: built once per variant and shared read-only by all its jobs
+/// when the topology does not draw from the seed, built per job for the
+/// seeded kinds (ba, er, geo). It runs
 /// through trace::ScenarioRunner — or workload::EpochRunner for multi-epoch
 /// specs — verifies CD1..CD7 when checking is on, and lands its outcome in
 /// a fixed slot, so the aggregated summary (and its JSON/CSV renderings)
@@ -133,9 +136,12 @@ public:
 
   /// Runs one job in isolation — the unit the pool executes, exposed for
   /// tests and for the CLI's single-run path. The variant's Backend picks
-  /// the engine; \p EngineWorkers drives its shards (sharded only).
+  /// the engine; \p EngineWorkers drives its shards (sharded only). With
+  /// \p World set, the job borrows that world (see materializeSingle)
+  /// instead of building its own; proc jobs ignore it.
   static JobOutcome runOneJob(const Spec &Variant, uint64_t Seed,
-                              unsigned EngineWorkers = 1);
+                              unsigned EngineWorkers = 1,
+                              const TopologyInfo *World = nullptr);
 
 private:
   Spec Base;

@@ -137,8 +137,9 @@ private:
     return false;
   }
 
-  /// Cheap syntactic topology validation; materialization re-validates
-  /// against the real builders.
+  /// Cheap syntactic topology validation. Size ranges (torus below 3x3,
+  /// tree arity 0, node counts past the id range, ...) are refused at
+  /// materialization, by scenario::buildTopology.
   bool checkTopologyShape(const Token &T, unsigned Line) {
     size_t Colon = T.Text.find(':');
     std::string Kind =

@@ -218,6 +218,48 @@ std::string scenario::writeSpec(const Spec &S) {
 
 // --- Materialization --------------------------------------------------------
 
+/// Largest node count a world may have: ids 0..N-1 must stay below
+/// InvalidNode.
+static constexpr uint64_t MaxWorldNodes = InvalidNode;
+
+/// The size checks of buildTopology. The generators only assert their
+/// preconditions, so every size they cannot build must be refused here,
+/// before a Release build divides by a zero arity or shifts past 32 bits.
+static bool checkTopologySize(const std::string &Key, uint64_t Nodes,
+                              uint64_t Extra, std::string &Error) {
+  if (Key == "hypercube") {
+    if (Nodes < 1 || Nodes > 30) {
+      Error = formatStr("hypercube dimension must be 1..30, got %llu",
+                        (unsigned long long)Nodes);
+      return false;
+    }
+    return true;
+  }
+  if (Nodes > MaxWorldNodes) {
+    Error = formatStr("%s of %llu nodes exceeds the %llu-node id range",
+                      Key.c_str(), (unsigned long long)Nodes,
+                      (unsigned long long)MaxWorldNodes);
+    return false;
+  }
+  const uint64_t MinNodes = Key == "ring" || Key == "chord" ? 3 : 1;
+  if (Nodes < MinNodes) {
+    Error = formatStr("%s needs at least %llu node%s, got %llu", Key.c_str(),
+                      (unsigned long long)MinNodes, MinNodes == 1 ? "" : "s",
+                      (unsigned long long)Nodes);
+    return false;
+  }
+  if (Key == "tree" && Extra == 0) {
+    Error = "tree arity must be at least 1";
+    return false;
+  }
+  if (Key == "ba" && (Extra == 0 || Extra >= Nodes)) {
+    Error = formatStr("ba needs 1 <= M < N, got N=%llu M=%llu",
+                      (unsigned long long)Nodes, (unsigned long long)Extra);
+    return false;
+  }
+  return true;
+}
+
 static bool buildTopologyImpl(const std::string &SpecTok, Rng &Rand,
                               TopologyInfo &Out, std::string &Error) {
   size_t Colon = SpecTok.find(':');
@@ -233,55 +275,83 @@ static bool buildTopologyImpl(const std::string &SpecTok, Rng &Rand,
   }
   if (Key == "grid" || Key == "torus") {
     size_t X = Rest.find('x');
-    uint32_t W = 0, H = 0;
+    uint64_t W = 0, H = 0;
     if (X != std::string::npos) {
-      W = static_cast<uint32_t>(std::atoi(Rest.substr(0, X).c_str()));
-      H = static_cast<uint32_t>(std::atoi(Rest.substr(X + 1).c_str()));
+      W = std::strtoull(Rest.substr(0, X).c_str(), nullptr, 10);
+      H = std::strtoull(Rest.substr(X + 1).c_str(), nullptr, 10);
     }
     if (W == 0 || H == 0) {
       Error = "bad " + Key + " size '" + Rest + "' (want WxH)";
       return false;
     }
-    Out.G = Key == "grid" ? graph::makeGrid(W, H) : graph::makeTorus(W, H);
-    Out.GridWidth = W;
-    Out.GridHeight = H;
+    if (Key == "torus" && (W < 3 || H < 3)) {
+      Error = formatStr("torus needs at least 3x3 nodes, got %llux%llu",
+                        (unsigned long long)W, (unsigned long long)H);
+      return false;
+    }
+    // W, H <= MaxWorldNodes keeps the product from wrapping.
+    if (W > MaxWorldNodes || H > MaxWorldNodes || W * H > MaxWorldNodes) {
+      Error = formatStr("%s of %llux%llu nodes exceeds the %llu-node id "
+                        "range",
+                        Key.c_str(), (unsigned long long)W,
+                        (unsigned long long)H,
+                        (unsigned long long)MaxWorldNodes);
+      return false;
+    }
+    const uint32_t W32 = static_cast<uint32_t>(W);
+    const uint32_t H32 = static_cast<uint32_t>(H);
+    Out.G = Key == "grid" ? graph::makeGrid(W32, H32)
+                          : graph::makeTorus(W32, H32);
+    Out.GridWidth = W32;
+    Out.GridHeight = H32;
     return true;
   }
 
-  std::vector<uint64_t> Args = splitUnsigned(Rest, ':');
-  auto Arg = [&Args](size_t I, uint64_t Default) {
-    return I < Args.size() ? Args[I] : Default;
+  // Default size and second parameter (arity, fingers, M, P or R) of
+  // every kind spelled KIND:N[:X].
+  struct KindDefaults {
+    const char *Key;
+    uint64_t Size, Extra;
   };
-  if (Key == "ring")
-    Out.G = graph::makeRing(static_cast<uint32_t>(Arg(0, 16)));
-  else if (Key == "line")
-    Out.G = graph::makeLine(static_cast<uint32_t>(Arg(0, 16)));
-  else if (Key == "tree")
-    Out.G = graph::makeTree(static_cast<uint32_t>(Arg(0, 31)),
-                            static_cast<uint32_t>(Arg(1, 2)));
-  else if (Key == "hypercube")
-    Out.G = graph::makeHypercube(static_cast<uint32_t>(Arg(0, 5)));
-  else if (Key == "chord")
-    Out.G = graph::makeChordRing(static_cast<uint32_t>(Arg(0, 32)),
-                                 static_cast<uint32_t>(Arg(1, 4)));
-  else if (Key == "ba")
-    Out.G = graph::makeBarabasiAlbert(static_cast<uint32_t>(Arg(0, 48)),
-                                      static_cast<uint32_t>(Arg(1, 2)), Rand);
-  else if (Key == "er") {
-    // er:N:P with P in percent (er:48:8 => p = 0.08).
-    Out.G = graph::makeErdosRenyi(static_cast<uint32_t>(Arg(0, 48)),
-                                  static_cast<double>(Arg(1, 8)) / 100.0,
-                                  Rand);
-  } else if (Key == "geo") {
-    // geo:N:R with R in percent of the unit square.
-    Out.G = graph::makeRandomGeometric(static_cast<uint32_t>(Arg(0, 48)),
-                                       static_cast<double>(Arg(1, 25)) /
-                                           100.0,
-                                       Rand);
-  } else {
+  static const KindDefaults Kinds[] = {
+      {"ring", 16, 0},  {"line", 16, 0}, {"tree", 31, 2}, {"hypercube", 5, 0},
+      {"chord", 32, 4}, {"ba", 48, 2},   {"er", 48, 8},   {"geo", 48, 25}};
+  const KindDefaults *Kind = std::find_if(
+      std::begin(Kinds), std::end(Kinds),
+      [&Key](const KindDefaults &K) { return Key == K.Key; });
+  if (Kind == std::end(Kinds)) {
     Error = "unknown topology kind '" + Key + "'";
     return false;
   }
+  std::vector<uint64_t> Args = splitUnsigned(Rest, ':');
+  const uint64_t Size = Args.size() > 0 ? Args[0] : Kind->Size;
+  const uint64_t Extra = Args.size() > 1 ? Args[1] : Kind->Extra;
+  if (!checkTopologySize(Key, Size, Extra, Error))
+    return false;
+  const uint32_t N = static_cast<uint32_t>(Size);
+  // Clamped: a tree arity or finger count past the id range behaves as
+  // the largest one.
+  const uint32_t E32 =
+      static_cast<uint32_t>(std::min<uint64_t>(Extra, MaxWorldNodes));
+  if (Key == "ring")
+    Out.G = graph::makeRing(N);
+  else if (Key == "line")
+    Out.G = graph::makeLine(N);
+  else if (Key == "tree")
+    Out.G = graph::makeTree(N, E32);
+  else if (Key == "hypercube")
+    Out.G = graph::makeHypercube(N);
+  else if (Key == "chord")
+    Out.G = graph::makeChordRing(N, E32);
+  else if (Key == "ba")
+    Out.G = graph::makeBarabasiAlbert(N, E32, Rand);
+  else if (Key == "er")
+    // er:N:P with P in percent (er:48:8 => p = 0.08).
+    Out.G = graph::makeErdosRenyi(N, static_cast<double>(Extra) / 100.0, Rand);
+  else
+    // geo:N:R with R in percent of the unit square.
+    Out.G = graph::makeRandomGeometric(N, static_cast<double>(Extra) / 100.0,
+                                       Rand);
   return true;
 }
 
@@ -638,22 +708,38 @@ bool scenario::applyOverride(Spec &S, const std::string &Key,
   return false;
 }
 
-bool scenario::materializeSingle(const Spec &V, uint64_t Seed,
-                                 MaterializedRun &Out, std::string &Error) {
+bool scenario::topologyDrawsFromSeed(const std::string &Topology) {
+  const std::string Key = Topology.substr(0, Topology.find(':'));
+  return Key == "ba" || Key == "er" || Key == "geo";
+}
+
+bool scenario::buildWorld(const Spec &V, uint64_t Seed, TopologyInfo &Out,
+                          std::string &Error) {
   Rng TopoRand(Seed);
-  if (!buildTopology(V.Topology, TopoRand, Out.Topo, Error))
-    return false;
+  return buildTopology(V.Topology, TopoRand, Out, Error);
+}
+
+bool scenario::materializeSingle(const Spec &V, uint64_t Seed,
+                                 MaterializedRun &Out, std::string &Error,
+                                 const TopologyInfo *World) {
+  if (!World) {
+    Out.OwnedTopo = std::make_unique<TopologyInfo>();
+    if (!buildWorld(V, Seed, *Out.OwnedTopo, Error))
+      return false;
+    World = Out.OwnedTopo.get();
+  }
+  Out.Topo = World;
   // Independent streams for the plan and the latency model, both derived
   // from the job seed, so a (spec, seed) pair pins the whole run.
   SplitMix64 Sub(Seed);
   Out.PlanRand.reset(new Rng(Sub.next()));
   Out.LatRand.reset(new Rng(Sub.next()));
-  if (!buildCrashPlan(V.Epochs.front(), Out.Topo, *Out.PlanRand, V.MaxFaulty,
+  if (!buildCrashPlan(V.Epochs.front(), *World, *Out.PlanRand, V.MaxFaulty,
                       Out.Plan, Error))
     return false;
   // The search plane's crash mutations apply to the plan buildCrashPlan
   // just produced — indices in the Perturbation name positions in it.
-  applyPerturbation(V.Perturb, Out.Topo.G.numNodes(), Out.Plan);
+  applyPerturbation(V.Perturb, World->G.numNodes(), Out.Plan);
   Out.Options = makeRunnerOptions(V, *Out.LatRand);
   // Engines overwrite this with the job seed; setting it here too keeps
   // runs driven straight through ScenarioRunner on the same schedule.

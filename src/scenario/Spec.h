@@ -274,22 +274,41 @@ trace::RunnerOptions makeRunnerOptions(const Spec &S, Rng &LatRand);
 bool applyOverride(Spec &S, const std::string &Key, const std::string &Value,
                    std::string &Error);
 
+/// True when \p Topology draws from the job seed (ba, er, geo): jobs at
+/// different seeds run on different worlds. Every other kind is a pure
+/// function of its token, so all seeds of a variant can share one world.
+bool topologyDrawsFromSeed(const std::string &Topology);
+
+/// Builds the world of variant \p V at \p Seed — its topology from
+/// Rng(Seed), exactly as materializeSingle does. A driver that runs many
+/// jobs on one (topology, seed) builds it once here and lends it to each.
+bool buildWorld(const Spec &V, uint64_t Seed, TopologyInfo &Out,
+                std::string &Error);
+
 /// One job's worth of concrete objects, with the RNGs the options capture
 /// kept alive alongside them. All randomness is derived from \p Seed, so a
 /// (spec, seed) pair identifies a run completely.
 struct MaterializedRun {
-  TopologyInfo Topo;
+  /// The job's world: the caller's, when materializeSingle was lent one,
+  /// else OwnedTopo. Read-only either way.
+  const TopologyInfo *Topo = nullptr;
+  /// A world built for this job alone; null when the world is borrowed.
+  std::unique_ptr<TopologyInfo> OwnedTopo;
   workload::CrashPlan Plan; ///< First epoch's plan.
   trace::RunnerOptions Options;
   std::unique_ptr<Rng> LatRand;
   std::unique_ptr<Rng> PlanRand;
 };
 
-/// Materializes variant \p V at \p Seed: topology from Rng(Seed), plan and
-/// latency RNGs derived from Seed via SplitMix64. Only the first epoch's
-/// plan is built here; multi-epoch execution lives in CampaignRunner.
+/// Materializes variant \p V at \p Seed: plan and latency RNGs derived
+/// from Seed via SplitMix64, and the topology from Rng(Seed). With
+/// \p World set, the run borrows that world instead of building one; it
+/// must be buildWorld(V, Seed)'s result (any seed, for a kind that does
+/// not draw from it) and outlive the run. Only the first epoch's plan is
+/// built here; multi-epoch execution lives in CampaignRunner.
 bool materializeSingle(const Spec &V, uint64_t Seed, MaterializedRun &Out,
-                       std::string &Error);
+                       std::string &Error,
+                       const TopologyInfo *World = nullptr);
 
 /// Human-readable names used by the writer and the CLI.
 const char *rankingName(graph::RankingKind K);

@@ -18,20 +18,21 @@ using namespace cliffedge::search;
 bool search::evaluatePerturbed(const scenario::Spec &Variant,
                                const scenario::Perturbation &P,
                                engine::BackendKind Backend, uint64_t Seed,
-                               RunSummary &Out, std::string &Error) {
+                               RunSummary &Out, std::string &Error,
+                               const scenario::TopologyInfo *World) {
   scenario::Spec V = Variant;
   V.Perturb = P;
   V.Backend = Backend;
   scenario::MaterializedRun MR;
-  if (!scenario::materializeSingle(V, Seed, MR, Error))
+  if (!scenario::materializeSingle(V, Seed, MR, Error, World))
     return false;
   engine::EngineJob Job;
-  Job.G = &MR.Topo.G;
+  Job.G = &MR.Topo->G;
   Job.Plan = &MR.Plan;
   Job.Options = MR.Options;
   Job.Seed = Seed;
   engine::EngineResult R = engine::makeEngine(Backend)->run(Job);
-  Out = summarize(R, MR.Topo.G);
+  Out = summarize(R, MR.Topo->G);
   return true;
 }
 
@@ -159,24 +160,34 @@ HuntResult search::hunt(const scenario::Spec &Variant,
   HuntResult Res;
   Res.Seed = Opts.Seed ? Opts.Seed : Variant.SeedLo;
 
+  // Every candidate runs at this one (spec, seed), and a perturbation
+  // never touches the topology: build the world once and lend it to every
+  // evaluation, whatever the topology kind.
+  scenario::TopologyInfo World;
+  if (!scenario::buildWorld(Variant, Res.Seed, World, Res.Error)) {
+    Res.Ok = false;
+    return Res;
+  }
+
   // Baseline: the unperturbed execution the objective scores against.
   // Materialized directly so the unperturbed plan size (the index space
   // of crash mutations) comes for free.
   scenario::Spec Base = Variant;
   Base.Perturb = scenario::Perturbation();
   scenario::MaterializedRun BaseRun;
-  if (!scenario::materializeSingle(Base, Res.Seed, BaseRun, Res.Error)) {
+  if (!scenario::materializeSingle(Base, Res.Seed, BaseRun, Res.Error,
+                                   &World)) {
     Res.Ok = false;
     return Res;
   }
   {
     engine::EngineJob Job;
-    Job.G = &BaseRun.Topo.G;
+    Job.G = &BaseRun.Topo->G;
     Job.Plan = &BaseRun.Plan;
     Job.Options = BaseRun.Options;
     Job.Seed = Res.Seed;
     engine::EngineResult R = engine::makeEngine(Variant.Backend)->run(Job);
-    Res.Baseline = summarize(R, BaseRun.Topo.G);
+    Res.Baseline = summarize(R, BaseRun.Topo->G);
   }
   const size_t PlanSize = BaseRun.Plan.Crashes.size();
 
@@ -215,7 +226,7 @@ HuntResult search::hunt(const scenario::Spec &Variant,
       for (size_t I = Tid; I < N; I += Jobs)
         Slots[I].Ok = evaluatePerturbed(Variant, Slots[I].P, Variant.Backend,
                                         Res.Seed, Slots[I].Summary,
-                                        Slots[I].Error);
+                                        Slots[I].Error, &World);
     };
     if (Jobs == 1 || N == 1) {
       Work(0);
@@ -248,7 +259,7 @@ HuntResult search::hunt(const scenario::Spec &Variant,
         RunSummary Other;
         std::string Err;
         if (evaluatePerturbed(Variant, F.P, otherBackend(Variant.Backend),
-                              Res.Seed, Other, Err) &&
+                              Res.Seed, Other, Err, &World) &&
             Other.Quiesced && !Other.CheckOk)
           Res.Violations.push_back(F);
       }

@@ -85,11 +85,14 @@ HuntResult hunt(const scenario::Spec &Variant, const HuntOptions &Opts);
 
 /// Materializes \p Variant with \p P applied at \p Seed and runs it on
 /// \p Backend (workers=1). The shared evaluation primitive of the hunt
-/// loop, the minimizer, `cliffedge-sim replay`, and the tests.
+/// loop, the minimizer, `cliffedge-sim replay`, and the tests. \p World,
+/// when set, is buildWorld(Variant, Seed)'s result, borrowed instead of
+/// building the topology again.
 bool evaluatePerturbed(const scenario::Spec &Variant,
                        const scenario::Perturbation &P,
                        engine::BackendKind Backend, uint64_t Seed,
-                       RunSummary &Out, std::string &Error);
+                       RunSummary &Out, std::string &Error,
+                       const scenario::TopologyInfo *World = nullptr);
 
 } // namespace search
 } // namespace cliffedge

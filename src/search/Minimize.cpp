@@ -18,6 +18,8 @@ namespace {
 struct Ctx {
   const scenario::Spec &Variant;
   uint64_t Seed;
+  /// The (Variant, Seed) world, built once and lent to every evaluation.
+  const scenario::TopologyInfo &World;
   uint64_t Steps = 0;
   /// Soft budget: minimization is greedy, each step strictly shrinks, so
   /// this only bounds pathological plans.
@@ -30,7 +32,7 @@ struct Ctx {
     ++Steps;
     RunSummary A, B;
     std::string Err;
-    if (!evaluatePerturbed(Variant, P, Variant.Backend, Seed, A, Err))
+    if (!evaluatePerturbed(Variant, P, Variant.Backend, Seed, A, Err, &World))
       return false;
     if (Primary)
       *Primary = A;
@@ -40,7 +42,7 @@ struct Ctx {
                            Variant.Backend == engine::BackendKind::Des
                                ? engine::BackendKind::Sharded
                                : engine::BackendKind::Des,
-                           Seed, B, Err))
+                           Seed, B, Err, &World))
       return false;
     return B.Quiesced && !B.CheckOk;
   }
@@ -49,12 +51,12 @@ struct Ctx {
 };
 
 /// Unperturbed crash-plan size: the index space `crash-drop` names.
-size_t planSize(const scenario::Spec &Variant, uint64_t Seed) {
-  scenario::Spec Base = Variant;
+size_t planSize(const Ctx &C) {
+  scenario::Spec Base = C.Variant;
   Base.Perturb = scenario::Perturbation();
   scenario::MaterializedRun MR;
   std::string Err;
-  if (!scenario::materializeSingle(Base, Seed, MR, Err))
+  if (!scenario::materializeSingle(Base, C.Seed, MR, Err, &C.World))
     return 0;
   return MR.Plan.Crashes.size();
 }
@@ -180,15 +182,23 @@ bool shrinkPlan(Ctx &C, scenario::Perturbation &Best, size_t PlanSize) {
 
 MinimizeResult search::minimize(const scenario::Spec &Variant, uint64_t Seed,
                                 const scenario::Perturbation &Found) {
-  Ctx C{Variant, Seed};
   MinimizeResult Res;
   Res.P = Found;
+  // A world that cannot be built cannot violate anything: report the
+  // finding as not reproducing, as a failed evaluation would.
+  scenario::TopologyInfo World;
+  std::string Err;
+  if (!scenario::buildWorld(Variant, Seed, World, Err)) {
+    Res.StillViolates = false;
+    return Res;
+  }
+  Ctx C{Variant, Seed, World};
   if (!C.violates(Found, &Res.Summary)) {
     Res.Steps = C.Steps;
     Res.StillViolates = false;
     return Res;
   }
-  const size_t PlanSize = planSize(Variant, Seed);
+  const size_t PlanSize = planSize(C);
   bool Changed = true;
   int Rounds = 0;
   while (Changed && Rounds++ < 4 && !C.exhausted()) {

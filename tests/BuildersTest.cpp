@@ -13,6 +13,8 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 using namespace cliffedge;
 using graph::Graph;
@@ -202,9 +204,10 @@ TEST(BuildersTest, ChordRingFingersCappedByN) {
     EXPECT_LE(G.degree(N), 5u);
 }
 
-// The deterministic builders stream straight into CSR via Graph::CsrBuilder;
-// these tests pin that path against an independent build-mode construction
-// of the same edge set (addEdge + compact — the pre-streaming code path).
+// The deterministic builders stream rows straight into CSR via
+// Graph::RowBuilder; these tests pin that path against an independent
+// build-mode construction of the same edge set (addEdge + compact — the
+// pre-streaming code path).
 namespace {
 
 void expectSameGraph(const Graph &Streamed, const Graph &Reference) {
@@ -220,6 +223,92 @@ void expectSameGraph(const Graph &Streamed, const Graph &Reference) {
     EXPECT_TRUE(std::is_sorted(A.begin(), A.end()));
     EXPECT_TRUE(std::adjacent_find(A.begin(), A.end()) == A.end());
   }
+}
+
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
+// Each reference edge list re-derives the family's shape directly from its
+// definition, independent of the builder's row order.
+
+EdgeList lineEdges(uint32_t N) {
+  EdgeList E;
+  for (uint32_t I = 0; I + 1 < N; ++I)
+    E.push_back({I, I + 1});
+  return E;
+}
+
+EdgeList ringEdges(uint32_t N) {
+  EdgeList E;
+  for (uint32_t I = 0; I < N; ++I)
+    E.push_back({I, (I + 1) % N});
+  return E;
+}
+
+EdgeList gridEdges(uint32_t W, uint32_t H) {
+  EdgeList E;
+  for (uint32_t Y = 0; Y < H; ++Y)
+    for (uint32_t X = 0; X < W; ++X) {
+      if (X + 1 < W)
+        E.push_back({graph::gridId(W, X, Y), graph::gridId(W, X + 1, Y)});
+      if (Y + 1 < H)
+        E.push_back({graph::gridId(W, X, Y), graph::gridId(W, X, Y + 1)});
+    }
+  return E;
+}
+
+EdgeList torusEdges(uint32_t W, uint32_t H) {
+  EdgeList E;
+  for (uint32_t Y = 0; Y < H; ++Y)
+    for (uint32_t X = 0; X < W; ++X) {
+      E.push_back({graph::gridId(W, X, Y), graph::gridId(W, (X + 1) % W, Y)});
+      E.push_back({graph::gridId(W, X, Y), graph::gridId(W, X, (Y + 1) % H)});
+    }
+  return E;
+}
+
+EdgeList completeEdges(uint32_t N) {
+  EdgeList E;
+  for (uint32_t I = 0; I < N; ++I)
+    for (uint32_t J = I + 1; J < N; ++J)
+      E.push_back({I, J});
+  return E;
+}
+
+EdgeList starEdges(uint32_t N) {
+  EdgeList E;
+  for (uint32_t I = 1; I < N; ++I)
+    E.push_back({0, I});
+  return E;
+}
+
+EdgeList treeEdges(uint32_t N, uint32_t Arity) {
+  EdgeList E;
+  for (uint32_t I = 1; I < N; ++I)
+    E.push_back({I, (I - 1) / Arity});
+  return E;
+}
+
+EdgeList hypercubeEdges(uint32_t Dim) {
+  EdgeList E;
+  for (uint32_t I = 0; I < (1u << Dim); ++I)
+    for (uint32_t Bit = 0; Bit < Dim; ++Bit)
+      if (I < (I ^ (1u << Bit)))
+        E.push_back({I, I ^ (1u << Bit)});
+  return E;
+}
+
+EdgeList chordEdges(uint32_t N, uint32_t Fingers) {
+  EdgeList E;
+  for (uint32_t I = 0; I < N; ++I) {
+    E.push_back({I, (I + 1) % N});
+    for (uint32_t K = 1; K <= Fingers; ++K) {
+      uint32_t Jump = 1u << K;
+      if (Jump >= N)
+        break;
+      E.push_back({I, (I + Jump) % N});
+    }
+  }
+  return E;
 }
 
 } // namespace
@@ -238,91 +327,49 @@ TEST(BuildersTest, StreamingBuildersAreCompacted) {
 
 TEST(BuildersTest, StreamingMatchesBuildModeReference) {
   struct Family {
-    const char *Name;
+    std::string Name;
     Graph Streamed;
     uint32_t N;
-    std::vector<std::pair<NodeId, NodeId>> Edges;
+    EdgeList Edges;
   };
   std::vector<Family> Families;
-  // Each reference edge list re-derives the family's shape directly from
-  // its definition, independent of the builder's enumeration order.
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    for (uint32_t I = 0; I + 1 < 9; ++I)
-      E.push_back({I, I + 1});
-    Families.push_back({"line", graph::makeLine(9), 9, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    for (uint32_t I = 0; I < 9; ++I)
-      E.push_back({I, (I + 1) % 9});
-    Families.push_back({"ring", graph::makeRing(9), 9, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    const uint32_t W = 5, H = 4;
-    for (uint32_t Y = 0; Y < H; ++Y)
-      for (uint32_t X = 0; X < W; ++X) {
-        if (X + 1 < W)
-          E.push_back({graph::gridId(W, X, Y), graph::gridId(W, X + 1, Y)});
-        if (Y + 1 < H)
-          E.push_back({graph::gridId(W, X, Y), graph::gridId(W, X, Y + 1)});
-      }
-    Families.push_back({"grid", graph::makeGrid(W, H), W * H, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    const uint32_t W = 5, H = 3;
-    for (uint32_t Y = 0; Y < H; ++Y)
-      for (uint32_t X = 0; X < W; ++X) {
-        E.push_back(
-            {graph::gridId(W, X, Y), graph::gridId(W, (X + 1) % W, Y)});
-        E.push_back(
-            {graph::gridId(W, X, Y), graph::gridId(W, X, (Y + 1) % H)});
-      }
-    Families.push_back({"torus", graph::makeTorus(W, H), W * H, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    for (uint32_t I = 0; I < 7; ++I)
-      for (uint32_t J = I + 1; J < 7; ++J)
-        E.push_back({I, J});
-    Families.push_back({"complete", graph::makeComplete(7), 7, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    for (uint32_t I = 1; I < 8; ++I)
-      E.push_back({0, I});
-    Families.push_back({"star", graph::makeStar(8), 8, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    for (uint32_t I = 1; I < 13; ++I)
-      E.push_back({I, (I - 1) / 3});
-    Families.push_back({"tree", graph::makeTree(13, 3), 13, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    for (uint32_t I = 0; I < 16; ++I)
-      for (uint32_t Bit = 0; Bit < 4; ++Bit)
-        if (I < (I ^ (1u << Bit)))
-          E.push_back({I, I ^ (1u << Bit)});
-    Families.push_back({"hypercube", graph::makeHypercube(4), 16, std::move(E)});
-  }
-  {
-    std::vector<std::pair<NodeId, NodeId>> E;
-    const uint32_t N = 20;
-    for (uint32_t I = 0; I < N; ++I) {
-      E.push_back({I, (I + 1) % N});
-      for (uint32_t K = 1; K <= 3; ++K) {
-        uint32_t Jump = 1u << K;
-        if (Jump >= N)
-          break;
-        E.push_back({I, (I + Jump) % N});
-      }
-    }
-    Families.push_back({"chord", graph::makeChordRing(N, 3), N, std::move(E)});
-  }
+  // Ordinary sizes plus each family's edge sizes: single rows, minimum
+  // wrap-around tori (every row of a 3-wide torus wraps), chord rings
+  // whose fingers reach log2 N (+2^k and -2^k land on the same node, so
+  // rows carry duplicates), one-dimensional cubes and degenerate trees.
+  for (uint32_t N : {1u, 2u, 9u})
+    Families.push_back({"line:" + std::to_string(N), graph::makeLine(N), N,
+                        lineEdges(N)});
+  for (uint32_t N : {3u, 4u, 9u})
+    Families.push_back({"ring:" + std::to_string(N), graph::makeRing(N), N,
+                        ringEdges(N)});
+  for (auto [W, H] : {std::pair<uint32_t, uint32_t>{5, 4}, {1, 1}, {1, 6},
+                      {6, 1}, {2, 2}})
+    Families.push_back({"grid:" + std::to_string(W) + "x" + std::to_string(H),
+                        graph::makeGrid(W, H), W * H, gridEdges(W, H)});
+  for (auto [W, H] : {std::pair<uint32_t, uint32_t>{5, 3}, {3, 3}, {3, 8},
+                      {8, 3}, {4, 4}})
+    Families.push_back(
+        {"torus:" + std::to_string(W) + "x" + std::to_string(H),
+         graph::makeTorus(W, H), W * H, torusEdges(W, H)});
+  for (uint32_t N : {1u, 2u, 7u})
+    Families.push_back({"complete:" + std::to_string(N),
+                        graph::makeComplete(N), N, completeEdges(N)});
+  for (uint32_t N : {2u, 8u})
+    Families.push_back({"star:" + std::to_string(N), graph::makeStar(N), N,
+                        starEdges(N)});
+  for (auto [N, A] : {std::pair<uint32_t, uint32_t>{13, 3}, {6, 1}, {5, 9},
+                      {1, 2}, {40, 2}})
+    Families.push_back({"tree:" + std::to_string(N) + ":" + std::to_string(A),
+                        graph::makeTree(N, A), N, treeEdges(N, A)});
+  for (uint32_t D : {1u, 2u, 4u})
+    Families.push_back({"hypercube:" + std::to_string(D),
+                        graph::makeHypercube(D), 1u << D, hypercubeEdges(D)});
+  for (auto [N, F] : {std::pair<uint32_t, uint32_t>{20, 3}, {3, 1}, {4, 1},
+                      {8, 3}, {6, 10}, {16, 4}, {33, 9}, {5, 0}})
+    Families.push_back(
+        {"chord:" + std::to_string(N) + ":" + std::to_string(F),
+         graph::makeChordRing(N, F), N, chordEdges(N, F)});
   for (Family &F : Families) {
     SCOPED_TRACE(F.Name);
     Graph Reference(F.N);
@@ -333,31 +380,53 @@ TEST(BuildersTest, StreamingMatchesBuildModeReference) {
   }
 }
 
-TEST(BuildersTest, CsrBuilderDedupsAndSorts) {
-  // The builder contract tolerates duplicate emissions and both
-  // orientations, matching addEdge()'s duplicate tolerance.
-  Graph::CsrBuilder B(4);
-  B.countEdge(2, 1);
-  B.countEdge(1, 2);
-  B.countEdge(0, 3);
-  B.countEdge(3, 0);
-  B.countEdge(1, 3);
-  B.beginEdges();
-  B.placeEdge(2, 1);
-  B.placeEdge(1, 2);
-  B.placeEdge(0, 3);
-  B.placeEdge(3, 0);
-  B.placeEdge(1, 3);
+TEST(BuildersTest, RowBuilderSortsAndDedupsRows) {
+  // Rows may arrive unsorted and with duplicates; each is sorted and
+  // de-duplicated in place, and ascending rows pass through unchanged.
+  Graph::RowBuilder B(4, 9);
+  B.push(3); // Row 0: {3}.
+  B.endRow();
+  B.push(3); // Row 1: unsorted with a duplicate -> {2, 3}.
+  B.push(2);
+  B.push(3);
+  B.endRow();
+  B.push(1); // Row 2: {1}.
+  B.endRow();
+  B.push(1); // Row 3: unsorted -> {0, 1}.
+  B.push(0);
+  B.endRow();
   Graph G = B.build();
   EXPECT_TRUE(G.compacted());
+  EXPECT_EQ(G.numNodes(), 4u);
   EXPECT_EQ(G.numEdges(), 3u);
   EXPECT_TRUE(G.hasEdge(1, 2));
   EXPECT_TRUE(G.hasEdge(0, 3));
   EXPECT_TRUE(G.hasEdge(1, 3));
   EXPECT_FALSE(G.hasEdge(0, 1));
-  graph::AdjRange Row1 = G.adj(1);
-  EXPECT_TRUE(std::is_sorted(Row1.begin(), Row1.end()));
-  EXPECT_EQ(Row1.size(), 2u);
+  const std::vector<std::vector<NodeId>> Want = {{3}, {2, 3}, {1}, {0, 1}};
+  for (NodeId N = 0; N < 4; ++N) {
+    graph::AdjRange Row = G.adj(N);
+    EXPECT_EQ(std::vector<NodeId>(Row.begin(), Row.end()), Want[N])
+        << "row " << N;
+  }
+}
+
+TEST(BuildersTest, RowBuilderHandlesEmptyRowsAndGraphs) {
+  Graph Empty = Graph::RowBuilder(0, 0).build();
+  EXPECT_TRUE(Empty.compacted());
+  EXPECT_EQ(Empty.numNodes(), 0u);
+  EXPECT_EQ(Empty.numEdges(), 0u);
+
+  Graph::RowBuilder B(3, 4);
+  B.endRow(); // Node 0 isolated.
+  B.push(2);
+  B.endRow();
+  B.push(1);
+  B.endRow();
+  Graph G = B.build();
+  EXPECT_EQ(G.degree(0), 0u);
+  EXPECT_EQ(G.numEdges(), 1u);
+  EXPECT_TRUE(G.hasEdge(1, 2));
 }
 
 TEST(BuildersTest, BuilderGraphsHaveUnnamedNodes) {

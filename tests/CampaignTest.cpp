@@ -18,6 +18,10 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 using namespace cliffedge;
 using scenario::CampaignOptions;
 using scenario::CampaignRunner;
@@ -30,6 +34,50 @@ scenario::Spec parseOrDie(const std::string &Text) {
   ParseResult P = scenario::parseSpec(Text);
   EXPECT_TRUE(P.Ok) << P.diagText();
   return P.S;
+}
+
+/// The summary a campaign of \p S must render: every job run alone
+/// through runOneJob, each materializing its own world, then tallied the
+/// way CampaignRunner::run tallies.
+CampaignSummary perJobReference(const scenario::Spec &S) {
+  CampaignRunner Runner(S);
+  CampaignSummary Sum;
+  Sum.Scenario = S.Name;
+  for (size_t V = 0; V < Runner.variants().size(); ++V)
+    for (uint64_t Seed = S.SeedLo; Seed <= S.SeedHi; ++Seed) {
+      scenario::JobOutcome Out =
+          CampaignRunner::runOneJob(Runner.variants()[V], Seed);
+      Out.Index = Sum.Results.size();
+      Out.Variant = Runner.variantLabels()[V];
+      Sum.Results.push_back(std::move(Out));
+    }
+  Sum.Jobs = Sum.Results.size();
+  for (const scenario::JobOutcome &Out : Sum.Results) {
+    if (!Out.Ran)
+      ++Sum.Errors;
+    else if (Out.SpecOk)
+      ++Sum.Passed;
+    else
+      ++Sum.Failed;
+    Sum.TotalDecisions += Out.Decisions;
+    Sum.TotalMessages += Out.Messages;
+    Sum.TotalBytes += Out.Bytes;
+    Sum.TotalEvents += Out.Events;
+  }
+  return Sum;
+}
+
+/// Campaigns of \p Text at one and at four workers render byte-identical
+/// JSON and CSV to per-job materialization.
+void expectMatchesPerJobReference(const std::string &Text) {
+  scenario::Spec S = parseOrDie(Text);
+  CampaignSummary Ref = perJobReference(S);
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(Threads);
+    CampaignSummary Sum = CampaignRunner(S).run({Threads});
+    EXPECT_EQ(Sum.toJson(), Ref.toJson());
+    EXPECT_EQ(Sum.toCsv(), Ref.toCsv());
+  }
 }
 
 TEST(CampaignTest, SweepMatrixExpandsDeterministically) {
@@ -65,6 +113,57 @@ TEST(CampaignTest, SummaryIdenticalAcrossThreadCounts) {
   EXPECT_EQ(One.toJson(), Eight.toJson());
   EXPECT_EQ(One.toCsv(), Eight.toCsv());
   EXPECT_EQ(One.Passed, One.Jobs);
+}
+
+TEST(CampaignTest, SharedWorldsMatchPerJobMaterialization) {
+  // Deterministic topologies: each variant's world is built once and lent
+  // to all its jobs. The matrix spans lattices, a chord ring, a tree, both
+  // backends, and a variant whose world cannot be built (ring:2), whose
+  // jobs must all carry the builder's error.
+  expectMatchesPerJobReference("scenario shared-worlds\n"
+                               "topology torus:10x10\n"
+                               "seeds 1..6\n"
+                               "latency uniform 1 40\n"
+                               "sweep topology torus:10x10 chord:64:5 "
+                               "tree:40:3 ring:2\n"
+                               "sweep backend des sharded\n"
+                               "crash random 2 3 at 100 spread 60\n");
+  // The multi-epoch path borrows the variant's world the same way.
+  expectMatchesPerJobReference("scenario shared-epochs\n"
+                               "topology grid:8x8\n"
+                               "seeds 3..7\n"
+                               "crash random 1 3 at 100\n"
+                               "epoch\n"
+                               "crash random 1 2 at 100\n");
+}
+
+TEST(CampaignTest, SeededTopologiesKeepOneWorldPerSeed) {
+  EXPECT_TRUE(scenario::topologyDrawsFromSeed("er:40:10"));
+  EXPECT_TRUE(scenario::topologyDrawsFromSeed("ba:48:2"));
+  EXPECT_TRUE(scenario::topologyDrawsFromSeed("geo:48:25"));
+  for (const char *Tok : {"torus:10x10", "grid:4x4", "ring:9", "line:5",
+                          "tree:31:2", "hypercube:4", "chord:64:5", "fig1"})
+    EXPECT_FALSE(scenario::topologyDrawsFromSeed(Tok)) << Tok;
+
+  // er worlds differ from seed to seed, so a campaign that lent seed 1's
+  // world to seed 2 would drift from per-job materialization.
+  scenario::Spec S = parseOrDie("scenario er-worlds\n"
+                                "topology er:40:10\n"
+                                "seeds 1..6\n"
+                                "crash random 2 3 at 100 spread 60\n");
+  std::string Err;
+  scenario::TopologyInfo One, Two;
+  ASSERT_TRUE(scenario::buildWorld(S, 1, One, Err)) << Err;
+  ASSERT_TRUE(scenario::buildWorld(S, 2, Two, Err)) << Err;
+  bool Differ = One.G.numEdges() != Two.G.numEdges();
+  for (NodeId N = 0; N < One.G.numNodes() && !Differ; ++N)
+    Differ = !std::equal(One.G.adj(N).begin(), One.G.adj(N).end(),
+                         Two.G.adj(N).begin(), Two.G.adj(N).end());
+  EXPECT_TRUE(Differ);
+  expectMatchesPerJobReference("scenario er-worlds\n"
+                               "topology er:40:10\n"
+                               "seeds 1..6\n"
+                               "crash random 2 3 at 100 spread 60\n");
 }
 
 TEST(CampaignTest, ChecksRunOnEveryJob) {

@@ -241,14 +241,14 @@ void materializeStreams(const std::string &Name, EventStreams &Out,
   ASSERT_TRUE(scenario::materializeSingle(V, V.SeedLo, Run, Err)) << Err;
   engine::DesEngine Eng;
   engine::EngineJob Job;
-  Job.G = &Run.Topo.G;
+  Job.G = &Run.Topo->G;
   Job.Plan = &Run.Plan;
   Job.Options = Run.Options;
   Job.Seed = V.SeedLo;
   engine::EngineResult R = Eng.run(Job);
   ASSERT_TRUE(R.Quiesced) << Name;
-  Batch = trace::checkAllBatch(engine::toCheckInput(R, Run.Topo.G));
-  Out.G = Run.Topo.G;
+  Batch = trace::checkAllBatch(engine::toCheckInput(R, Run.Topo->G));
+  Out.G = Run.Topo->G;
   for (NodeId N : R.Faulty)
     Out.Crashes.push_back({N, R.CrashTimes[N]});
   std::sort(Out.Crashes.begin(), Out.Crashes.end(),

@@ -237,10 +237,10 @@ TEST_P(EngineEquivalence, SparseResultsMatchPerNodeIntrospection) {
   scenario::MaterializedRun RefRun;
   Materialize(RefRun);
   RefRun.Options.LinkSeed = V.SeedLo; // As DesEngine sets it.
-  trace::ScenarioRunner Ref(RefRun.Topo.G, RefRun.Options);
+  trace::ScenarioRunner Ref(RefRun.Topo->G, RefRun.Options);
   RefRun.Plan.apply(Ref);
   Ref.run();
-  const uint32_t NumNodes = RefRun.Topo.G.numNodes();
+  const uint32_t NumNodes = RefRun.Topo->G.numNodes();
 
   engine::DesEngine Des;
   engine::ShardedEngine Sharded;
@@ -250,7 +250,7 @@ TEST_P(EngineEquivalence, SparseResultsMatchPerNodeIntrospection) {
     scenario::MaterializedRun Run;
     Materialize(Run);
     engine::EngineJob Job;
-    Job.G = &Run.Topo.G;
+    Job.G = &Run.Topo->G;
     Job.Plan = &Run.Plan;
     Job.Options = Run.Options;
     Job.Seed = V.SeedLo;
@@ -450,7 +450,7 @@ engine::EngineResult runSharded(const scenario::Spec &V, unsigned Workers,
   Opts.Shards = Shards;
   engine::ShardedEngine Eng(Opts);
   engine::EngineJob Job;
-  Job.G = &Run.Topo.G;
+  Job.G = &Run.Topo->G;
   Job.Plan = &Run.Plan;
   Job.Options = Run.Options;
   Job.Seed = V.SeedLo;

@@ -198,14 +198,14 @@ TEST_P(ProcParity, VerdictsMatchDesBaseline) {
   ASSERT_TRUE(scenario::materializeSingle(V, Seed, Run, Err)) << Err;
   engine::DesEngine Des;
   engine::EngineJob Job;
-  Job.G = &Run.Topo.G;
+  Job.G = &Run.Topo->G;
   Job.Plan = &Run.Plan;
   Job.Options = std::move(Run.Options);
   Job.Seed = Seed;
   engine::EngineResult DesRes = Des.run(Job);
   ASSERT_TRUE(DesRes.Quiesced) << File;
   trace::CheckResult DesCheck =
-      trace::checkAll(engine::toCheckInput(DesRes, Run.Topo.G));
+      trace::checkAll(engine::toCheckInput(DesRes, Run.Topo->G));
 
   // The same world as real processes.
   proc::Launcher L(V, Seed, testOptions());

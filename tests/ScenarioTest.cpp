@@ -20,6 +20,9 @@
 
 #include "gtest/gtest.h"
 
+#include <string>
+#include <utility>
+
 using namespace cliffedge;
 using scenario::CrashDirective;
 using scenario::LatencySpec;
@@ -226,6 +229,65 @@ TEST(ScenarioMaterializeTest, TopologyAndPlanValidation) {
     All.Args.push_back(N);
   EXPECT_FALSE(scenario::buildCrashPlan({All}, Ring, Rand, 0, Plan, Err));
   EXPECT_NE(Err.find("survive"), std::string::npos);
+}
+
+TEST(ScenarioMaterializeTest, DegenerateTopologySizesAreErrors) {
+  // Each token names a size its generator cannot build: a zero tree arity
+  // divides by zero, a 40-dimension cube shifts past 32 bits, a 1-wide
+  // torus wraps a node onto itself, and a node count past the id range
+  // wraps NodeId. buildTopology must refuse every one with an error
+  // (Release builds have no generator asserts to stop them).
+  const std::pair<const char *, const char *> Cases[] = {
+      {"torus:1x5", "at least 3x3"},
+      {"torus:5x2", "at least 3x3"},
+      {"torus:2x2", "at least 3x3"},
+      {"ring:2", "at least 3 nodes"},
+      {"ring:0", "at least 3 nodes"},
+      {"chord:2:1", "at least 3 nodes"},
+      {"tree:10:0", "arity"},
+      {"hypercube:0", "1..30"},
+      {"hypercube:31", "1..30"},
+      {"hypercube:40", "1..30"},
+      {"line:0", "at least 1 node"},
+      {"ba:3:5", "1 <= M < N"},
+      {"ba:10:0", "1 <= M < N"},
+      {"grid:70000x70000", "id range"},
+      {"torus:4294967296x3", "id range"},
+      {"ring:4294967296", "id range"},
+      {"line:18446744073709551615", "id range"},
+      {"tree:99999999999:2", "id range"},
+      {"chord:5000000000:4", "id range"},
+      {"er:4294967296:8", "id range"},
+  };
+  for (const auto &[Tok, Why] : Cases) {
+    SCOPED_TRACE(Tok);
+    Rng Rand(1);
+    scenario::TopologyInfo Topo;
+    std::string Err;
+    EXPECT_FALSE(scenario::buildTopology(Tok, Rand, Topo, Err));
+    EXPECT_NE(Err.find(Why), std::string::npos) << Err;
+  }
+
+  // The smallest legal sizes still build, with no self-loops.
+  for (const char *Tok : {"torus:3x3", "ring:3", "chord:3:1", "tree:10:1",
+                          "hypercube:1", "hypercube:2", "line:1", "ba:2:1"}) {
+    SCOPED_TRACE(Tok);
+    Rng Rand(1);
+    scenario::TopologyInfo Topo;
+    std::string Err;
+    ASSERT_TRUE(scenario::buildTopology(Tok, Rand, Topo, Err)) << Err;
+    for (NodeId N = 0; N < Topo.G.numNodes(); ++N)
+      EXPECT_FALSE(Topo.G.hasEdge(N, N)) << "self-loop at " << N;
+  }
+
+  // A scenario run reports the same error instead of crashing.
+  ParseResult P = scenario::parseSpec("topology tree:10:0\n"
+                                      "crash nodes 1 at 100\n");
+  ASSERT_TRUE(P.Ok) << P.diagText();
+  scenario::JobOutcome Out =
+      scenario::CampaignRunner::runOneJob(P.S, P.S.SeedLo);
+  EXPECT_FALSE(Out.Ran);
+  EXPECT_NE(Out.Error.find("arity"), std::string::npos) << Out.Error;
 }
 
 TEST(ScenarioMaterializeTest, OverlappingDirectivesCrashOnce) {

@@ -264,8 +264,8 @@ TEST(SearchReplay, PerturbedShardedRunIndependentOfWorkers) {
   One.Workers = 1;
   Three.Workers = 3;
   engine::ShardedEngine EngOne(One), EngThree(Three);
-  engine::EngineJob JobA{&RunA.Topo.G, &RunA.Plan, RunA.Options, 5};
-  engine::EngineJob JobB{&RunB.Topo.G, &RunB.Plan, RunB.Options, 5};
+  engine::EngineJob JobA{&RunA.Topo->G, &RunA.Plan, RunA.Options, 5};
+  engine::EngineJob JobB{&RunB.Topo->G, &RunB.Plan, RunB.Options, 5};
   engine::EngineResult A = EngOne.run(JobA);
   engine::EngineResult B = EngThree.run(JobB);
   EXPECT_EQ(A.Events, B.Events);
@@ -301,9 +301,9 @@ TEST(SearchReplay, NullPerturbationIsByteIdenticalToUnhookedPath) {
     EXPECT_EQ(Hooked.Options.LinkSalt, 0u);
     for (engine::BackendKind B :
          {engine::BackendKind::Des, engine::BackendKind::Sharded}) {
-      engine::EngineJob JobP{&Plain.Topo.G, &Plain.Plan, Plain.Options,
+      engine::EngineJob JobP{&Plain.Topo->G, &Plain.Plan, Plain.Options,
                              V.SeedLo};
-      engine::EngineJob JobH{&Hooked.Topo.G, &Hooked.Plan, Hooked.Options,
+      engine::EngineJob JobH{&Hooked.Topo->G, &Hooked.Plan, Hooked.Options,
                              V.SeedLo};
       engine::EngineResult A = engine::makeEngine(B)->run(JobP);
       engine::EngineResult C = engine::makeEngine(B)->run(JobH);

@@ -13,7 +13,7 @@ repo's BENCH_micro.json schema (see bench/README.md):
   {
     "schema": 1,
     "benchmarks": {"<name>": {"ns": <real_time ns per iteration>}, ...},
-    "derived": {"crash_burst_speedup_<arg>": <batch ns / incremental ns>,
+    "derived": {"crash_burst_allocs_per_crash_<arg>": <allocations>,
                 "wire_v1_over_v2_encode_<arg>": ..., ...}
   }
 
@@ -144,7 +144,7 @@ def distill(gbench):
         benchmarks[entry["name"]] = {"ns": round(to_ns(entry), 3)}
         for key in ("allocs_per_msg", "steady_msgs", "state_highwater",
                     "open_waves_hw", "peak_rss_mb", "alloc_mb", "allocs",
-                    "frame_bytes", "allocs_per_event"):
+                    "frame_bytes", "allocs_per_event", "allocs_per_crash"):
             if key in entry:
                 counters[(entry["name"], key)] = entry[key]
 
@@ -156,12 +156,16 @@ def distill(gbench):
         if num and den and den["ns"] > 0:
             derived[out_name] = round(num["ns"] / den["ns"], 2)
 
+    # Heap allocations per crash of the incremental crash-burst kernel
+    # (tracker set-up and max-view copies included), from the operator-new
+    # hook: deterministic, so the larger patches carry --require ceilings.
+    # A tracker that rescans the crashed set per crash allocates per
+    # component and trips them.
     for arg in (8, 16, 32):
-        ratio(
-            f"BM_CrashBurst_BatchRescan/{arg}",
-            f"BM_CrashBurst_Incremental/{arg}",
-            f"crash_burst_speedup_{arg}",
-        )
+        value = counters.get((f"BM_CrashBurst_Incremental/{arg}",
+                              "allocs_per_crash"))
+        if value is not None:
+            derived[f"crash_burst_allocs_per_crash_{arg}"] = round(value, 3)
     for arg in (4, 32, 256):
         ratio(
             f"BM_WireEncodeV1/{arg}",
@@ -292,6 +296,11 @@ def distill(gbench):
             derived[f"idle_job_alloc_mb_{backend}"] = round(value, 2)
     if len(idle) == 2:
         derived["idle_job_alloc_mb"] = round(max(idle.values()), 2)
+    # Heap MB one torus:1000x1000 build requests: the final CSR plus any
+    # scratch array the builder adds. Deterministic, gated by --require.
+    world = counters.get(("BM_WorldBuild", "alloc_mb"))
+    if world is not None:
+        derived["world_build_alloc_mb"] = round(world, 2)
     return {"schema": 1, "benchmarks": benchmarks, "derived": derived}
 
 
@@ -310,7 +319,10 @@ LOWER_IS_BETTER = {"engine_million_peak_rss_mb", "engine_million_des_ms",
                    "idle_job_alloc_mb", "idle_job_alloc_mb_des",
                    "idle_job_alloc_mb_sharded", "dense_job_allocs_per_event",
                    "lossy_job_allocs_per_event",
-                   "event_queue_allocs_per_event"}
+                   "event_queue_allocs_per_event", "world_build_alloc_mb",
+                   "crash_burst_allocs_per_crash_8",
+                   "crash_burst_allocs_per_crash_16",
+                   "crash_burst_allocs_per_crash_32"}
 
 
 def compare(baseline, fresh, threshold, absolute="gate"):
@@ -405,7 +417,7 @@ def main():
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME>=VALUE",
                         help="absolute bound on a derived metric: a floor "
-                             "(crash_burst_speedup_16>=3) or a ceiling "
+                             "(wire_v1_over_v2_encode_32>=1.5) or a ceiling "
                              "(round_processing_allocs_per_msg<=0). "
                              "Repeatable. Unlike --threshold these bounds "
                              "are immune to machine-to-machine noise, which "

@@ -857,8 +857,8 @@ int main(int argc, char **argv) {
       return 2;
     }
     std::printf("topology: %s (%u nodes, %zu edges)\n",
-                Variant.Topology.c_str(), Run.Topo.G.numNodes(),
-                Run.Topo.G.numEdges());
+                Variant.Topology.c_str(), Run.Topo->G.numNodes(),
+                Run.Topo->G.numEdges());
     std::printf("transport: proc (%u shards, %u killed, %llu ms "
                 "wall)\n",
                 R.NumShards, R.KilledShards, (unsigned long long)R.WallMs);
@@ -886,7 +886,7 @@ int main(int argc, char **argv) {
     for (const trace::DecisionRecord &D : R.Trace.Decisions)
       std::printf("  L=%-8llu %-10s view=%s value=%llu\n",
                   (unsigned long long)D.When,
-                  Run.Topo.G.label(D.Node).c_str(), D.View.str().c_str(),
+                  Run.Topo->G.label(D.Node).c_str(), D.View.str().c_str(),
                   (unsigned long long)D.Chosen);
     if (S.Check) {
       std::printf("CD1..CD7: %s\n",
@@ -903,7 +903,7 @@ int main(int argc, char **argv) {
   std::unique_ptr<engine::Engine> Eng =
       engine::makeEngine(Variant.Backend, EngOpts);
   engine::EngineJob Job;
-  Job.G = &Run.Topo.G;
+  Job.G = &Run.Topo->G;
   Job.Plan = &Run.Plan;
   Job.Options = std::move(Run.Options);
   Job.Seed = Seed;
@@ -917,13 +917,13 @@ int main(int argc, char **argv) {
                  (unsigned long long)S.MaxEvents);
     return 2;
   }
-  trace::CheckInput In = engine::toCheckInput(Res, Run.Topo.G);
+  trace::CheckInput In = engine::toCheckInput(Res, Run.Topo->G);
 
   bool WantAll = Output == "all";
   if (Output == "summary" || WantAll) {
     std::printf("topology: %s (%u nodes, %zu edges)\n",
-                Variant.Topology.c_str(), Run.Topo.G.numNodes(),
-                Run.Topo.G.numEdges());
+                Variant.Topology.c_str(), Run.Topo->G.numNodes(),
+                Run.Topo->G.numEdges());
     std::printf("backend:  %s\n", Eng->name());
     std::printf("faulty:   %s\n", AllFaulty.str().c_str());
     if (Variant.Link.active())
@@ -945,7 +945,7 @@ int main(int argc, char **argv) {
     for (const trace::DecisionRecord &D : Res.Decisions)
       std::printf("  t=%-8llu %-10s view=%s value=%llu\n",
                   (unsigned long long)D.When,
-                  Run.Topo.G.label(D.Node).c_str(), D.View.str().c_str(),
+                  Run.Topo->G.label(D.Node).c_str(), D.View.str().c_str(),
                   (unsigned long long)D.Chosen);
   }
   if (Output == "events" || WantAll)
@@ -954,7 +954,7 @@ int main(int argc, char **argv) {
     std::printf("%s", trace::renderTimeline(In).c_str());
   if (Output == "dot" || WantAll)
     std::printf("%s",
-                graph::toDot(Run.Topo.G, {{AllFaulty, "lightcoral", "F"}})
+                graph::toDot(Run.Topo->G, {{AllFaulty, "lightcoral", "F"}})
                     .c_str());
 
   if (S.Check) {
