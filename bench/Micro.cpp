@@ -57,11 +57,13 @@ using namespace cliffedge;
 // round_processing_allocs_per_msg <= 0); BM_IdleJob uses the bytes to
 // assert an idle job's cost does not scale with the world (gated as
 // idle_job_alloc_mb) and BM_WorldBuild to gate one world build's bytes
-// (world_build_alloc_mb); BM_DenseStormJob divides the count by processed
-// events (gated as dense_job_allocs_per_event), BM_CrashBurst_Incremental
-// by crashes (crash_burst_allocs_per_crash_<side>); the crash-burst
-// benches record it per run so the zero-loss bypass is gated on exact
-// extra allocations (reliable_channel_extra_allocs).
+// (world_build_alloc_mb); BM_DenseStormJob and its sharded twin divide
+// the count by processed events (gated as dense_job_allocs_per_event and
+// _sharded), BM_CrashBurst_Incremental by crashes
+// (crash_burst_allocs_per_crash_<side>), BM_WireEncodeV3/BM_WireDecodeV3
+// by calls (wire_v3_encode_allocs_<arg>, wire_v3_decode_allocs_<arg>);
+// the crash-burst benches record it per run so the zero-loss bypass is
+// gated on exact extra allocations (reliable_channel_extra_allocs).
 
 namespace {
 std::atomic<uint64_t> GAllocCount{0};
@@ -242,8 +244,11 @@ BENCHMARK(BM_WorldBuild)->Unit(benchmark::kMillisecond);
 // measure the bookkeeping Algorithm 1 and its transport pay per unit of
 // work: decoding, instance rounds, view construction, notice scheduling.
 // The operator-new count is deterministic on any host; bench_compare
-// turns it into dense_job_allocs_per_event and gates it.
-void BM_DenseStormJob(benchmark::State &State) {
+// turns it into dense_job_allocs_per_event and gates it. The sharded twin
+// runs the identical job on engine::ShardedEngine with one worker (merge,
+// calendar and worker outboxes in place of the DES runner), gated as
+// dense_job_allocs_per_event_sharded.
+void runDenseStormJob(benchmark::State &State, engine::Engine &Eng) {
   static const scenario::Spec Spec = [] {
     scenario::ParseResult P = scenario::parseSpec(
         "scenario dense-storm\n"
@@ -259,7 +264,6 @@ void BM_DenseStormJob(benchmark::State &State) {
     }
     return P.S;
   }();
-  engine::DesEngine Eng;
   uint64_t Allocs = 0, Events = 0;
   bool Ok = true;
   for (auto _ : State) {
@@ -299,7 +303,20 @@ void BM_DenseStormJob(benchmark::State &State) {
   State.counters["allocs"] = static_cast<double>(Allocs);
   State.counters["events"] = static_cast<double>(Events);
 }
+
+void BM_DenseStormJob(benchmark::State &State) {
+  engine::DesEngine Eng;
+  runDenseStormJob(State, Eng);
+}
 BENCHMARK(BM_DenseStormJob)->Unit(benchmark::kMillisecond);
+
+void BM_DenseStormJobSharded(benchmark::State &State) {
+  engine::EngineOptions EO;
+  EO.Workers = 1;
+  engine::ShardedEngine Eng(EO);
+  runDenseStormJob(State, Eng);
+}
+BENCHMARK(BM_DenseStormJobSharded)->Unit(benchmark::kMillisecond);
 
 // -- Lossy job: allocations per event on the sharded fault plane --------------
 //
@@ -899,14 +916,38 @@ void BM_WireDecodeV1(benchmark::State &State) {
 }
 BENCHMARK(BM_WireDecodeV1)->Arg(4)->Arg(32)->Arg(256);
 
+// The *_V3 pair also exports deterministic counts of the live path: the
+// frame's bytes and the heap allocations per call over the timed loop
+// (operator-new hook), after one untimed call warms the reused buffers.
+// bench_compare gates the 32-member frame's size exactly and both
+// allocation counts at zero: a frame that carries the full region again,
+// or an encoder or decoder that allocates per call, trips them.
+
+void startAllocCount() {
+  GAllocCount.store(0, std::memory_order_relaxed);
+  GAllocCounting.store(true, std::memory_order_relaxed);
+}
+
+/// Stops the count startAllocCount() began; exports it per iteration.
+void setAllocsPerCall(benchmark::State &State) {
+  GAllocCounting.store(false, std::memory_order_relaxed);
+  State.counters["allocs_per_call"] =
+      static_cast<double>(GAllocCount.load(std::memory_order_relaxed)) /
+      static_cast<double>(State.iterations());
+}
+
 void BM_WireEncodeV3(benchmark::State &State) {
   // The steady-state shape: id-only frame into a reused buffer.
   core::Message M = sampleMessage(State.range(0));
   std::vector<uint8_t> Out;
+  core::encodeMessageV3Into(M, /*WithAnnounce=*/false, Out);
+  startAllocCount();
   for (auto _ : State) {
     core::encodeMessageV3Into(M, /*WithAnnounce=*/false, Out);
     benchmark::DoNotOptimize(Out.data());
   }
+  setAllocsPerCall(State);
+  State.counters["frame_bytes"] = static_cast<double>(Out.size());
 }
 BENCHMARK(BM_WireEncodeV3)->Arg(4)->Arg(32)->Arg(256);
 
@@ -915,10 +956,14 @@ void BM_WireDecodeV3(benchmark::State &State) {
   std::vector<uint8_t> Bytes;
   core::encodeMessageV3Into(M, /*WithAnnounce=*/false, Bytes);
   core::Message Scratch;
+  core::decodeMessageInto(Bytes, wireBenchTable(), Scratch);
+  startAllocCount();
   for (auto _ : State) {
     bool Ok = core::decodeMessageInto(Bytes, wireBenchTable(), Scratch);
     benchmark::DoNotOptimize(Ok);
   }
+  setAllocsPerCall(State);
+  State.counters["frame_bytes"] = static_cast<double>(Bytes.size());
 }
 BENCHMARK(BM_WireDecodeV3)->Arg(4)->Arg(32)->Arg(256);
 

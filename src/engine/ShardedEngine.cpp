@@ -17,17 +17,21 @@
 //  * process: the calendar hands over every event carrying the earliest
 //    timestamp T, sorted by (shard, tie-break key, sequence), so each shard
 //    with work — a *busy* shard — owns one contiguous slice of the round
-//    and drains it in (key, sequence) order. Handlers only touch the owning
-//    shard's nodes and append outputs (messages, detector subscriptions,
-//    executed crashes, decisions) to shard-local outboxes, so shards are
-//    data-race free by construction and the phase parallelises over
-//    Workers threads (shard s belongs to worker s % Workers, which takes
-//    the slices of its shards in ascending order). Idle shards cost
+//    and drains it in (key, sequence) order. The phase parallelises over
+//    Workers threads: shard s belongs to worker s % Workers, which takes
+//    the slices of its shards in ascending order. Handlers only touch the
+//    owning shard's nodes and append outputs (messages, detector
+//    subscriptions, executed crashes, decisions) to their worker's one
+//    outbox set, each slice recording where its output begins and ends,
+//    so shards are data-race free by construction. Idle shards cost
 //    nothing.
 //
-//  * merge (serial): the busy shards' outboxes are drained in
+//  * merge (serial): the busy slices' outputs are drained in
 //    deterministic order — ascending shard, production order within a
-//    shard. Crashes notify subscribed watchers, subscriptions to
+//    shard. Consecutive slices of one worker are one contiguous range of
+//    its outbox, so with one worker each output kind is a single linear
+//    pass; any worker count yields the same order. Crashes notify
+//    subscribed watchers, subscriptions to
 //    already-crashed targets notify immediately (the exactly-once
 //    discipline of detector::PerfectFailureDetector), and each multicast
 //    frame is decoded once, into the message attached to its pooled
@@ -49,8 +53,14 @@
 //
 //  * every *send-side* channel state (sequence windows, retransmit
 //    timers, link fate draws) is touched only at the serial merge —
-//    workers stage ack arrivals and timer expiries into shard outboxes
-//    instead of acting on them;
+//    workers stage ack arrivals into their outboxes instead of acting on
+//    them, and retransmit timers never reach the workers at all: a timer
+//    armed at merge time T is due at T + Rto (fixed per run), so armed
+//    timers form a merge-side FIFO in due order. A round runs at the
+//    earlier of the calendar's next timestamp and the first due timer,
+//    and its due timers run in the merge, in (sender's shard, key, seq)
+//    order — the key and sequence drawn at arm time exactly as for a
+//    calendar event — and count as processed events;
 //  * every *receive-side* state (dedup, reorder buffers) lives in the
 //    recipient's shard and is touched only by that shard's worker.
 //
@@ -103,7 +113,7 @@ namespace {
 /// machine-independent; Workers only decides how many threads drive them.
 constexpr uint32_t DefaultShards = 32;
 
-/// One outgoing unicast leg of a multicast, staged in a shard outbox.
+/// One outgoing unicast leg of a multicast, staged in a worker outbox.
 struct OutMsg {
   NodeId From;
   NodeId To;
@@ -112,7 +122,7 @@ struct OutMsg {
 };
 
 /// One (watcher, target) pair of a <monitorCrash|Targets>, staged in a
-/// shard outbox in production order.
+/// worker outbox in production order.
 struct OutSub {
   NodeId Watcher;
   NodeId Target;
@@ -149,6 +159,18 @@ struct OutAckSend {
   uint32_t Cum;
 };
 
+/// One armed retransmit timer of channel \c Chan, due at \c When. Kept
+/// in the merge's FIFO rather than the calendar: every timer is armed at
+/// merge time T for T + Rto, so the FIFO is in due order. \c Shard (the
+/// sender's), \c Key and \c Seq order the timers due in one tick.
+struct Timer {
+  SimTime When;
+  uint32_t Shard;
+  uint32_t Chan;
+  uint64_t Key;
+  uint64_t Seq;
+};
+
 /// Send half of one directed channel, plus the links that replace hashing:
 /// its receive half, its reverse channel and its endpoints' channel lists.
 /// Merge-only. Unacked frames live in RunState::Window, ascending by seq.
@@ -163,6 +185,10 @@ struct Channel {
   uint32_t CumAcked = 0;
   uint32_t WinHead = NoChannel; ///< Oldest unacked frame (window pool).
   uint32_t WinTail = NoChannel;
+  /// ARQ only: the link model's streams of this channel's data (From ->
+  /// To) and of its pure acks (To -> From), resolved once.
+  uint32_t DataStream = 0;
+  uint32_t AckStream = 0;
   bool TimerArmed = false;
   bool Dead = false; ///< An endpoint crashed: stop tracking, retransmitting.
 };
@@ -191,21 +217,12 @@ struct NodeSlot {
   uint32_t Channels = NoChannel;
 };
 
-/// Per-shard state: owned nodes plus this round's outputs.
+/// Per-shard state: owned nodes and their receive-side channel state.
 struct Shard {
   /// The shard's nodes, indexed by NodeId / NumShards. Shard-private, so
   /// pages materialize without synchronization: during a round only the
   /// owning worker writes it, and the merge (serial) only reads it.
   support::PagedStore<NodeSlot> Slots;
-  // Outboxes, drained by the merge after every round the shard was busy.
-  std::vector<OutMsg> OutMsgs;
-  std::vector<OutSub> OutSubs;
-  std::vector<NodeId> OutCrashed;
-  std::vector<trace::DecisionRecord> OutDecisions;
-  // Fault-plane outboxes (empty on the zero-loss path).
-  std::vector<OutAckSeen> OutAcksSeen;
-  std::vector<OutAckSend> OutAcksOwed;
-  std::vector<uint32_t> OutTimers; ///< Channels whose timer expired.
   /// Receive halves of every channel whose recipient this shard owns,
   /// indexed by Channel::RecvSlot. Appended by the merge; during rounds
   /// only this shard's worker touches them, and the merge reads
@@ -217,20 +234,57 @@ struct Shard {
   uint64_t Dropped = 0;
 };
 
-/// A busy shard's events within the drained round.
+/// Sizes of one outbox's queues: where a slice's output begins or ends.
+struct OutMark {
+  uint32_t Crashed = 0, Subs = 0, AcksSeen = 0, AcksOwed = 0, Msgs = 0,
+           Decisions = 0;
+};
+
+/// One worker's outputs of a round. The worker appends each busy slice's
+/// output in the order it processes its slices (ascending shard), and the
+/// slice records where that output begins and ends; the merge drains the
+/// queues and clears them.
+struct Outbox {
+  std::vector<NodeId> Crashed;
+  std::vector<OutSub> Subs;
+  // Fault plane (empty on the zero-loss path).
+  std::vector<OutAckSeen> AcksSeen;
+  std::vector<OutAckSend> AcksOwed;
+  std::vector<OutMsg> Msgs;
+  std::vector<trace::DecisionRecord> Decisions;
+
+  OutMark mark() const {
+    auto Size = [](const auto &V) { return static_cast<uint32_t>(V.size()); };
+    return OutMark{Size(Crashed),  Size(Subs), Size(AcksSeen),
+                   Size(AcksOwed), Size(Msgs), Size(Decisions)};
+  }
+  void clear() {
+    Crashed.clear();
+    Subs.clear();
+    AcksSeen.clear();
+    AcksOwed.clear();
+    Msgs.clear();
+    Decisions.clear();
+  }
+};
+
+/// A busy shard's events within the drained round, and the range of its
+/// worker's outbox its processing filled.
 struct ShardSlice {
   uint32_t Shard;
+  uint32_t Worker;
   uint32_t Begin;
   uint32_t End;
+  OutMark OutBegin, OutEnd;
 };
 
 struct RunState;
 
 /// The engine's core::NodeHost: one stateless object serves every node of
 /// every shard. Each effect arrives tagged with the acting node's id and
-/// lands in that node's *own* shard's outbox, and a node's events only
-/// ever run on its owning shard's worker — so concurrent workers never
-/// touch the same outbox through this host.
+/// lands in the outbox of the worker owning that node's shard, the only
+/// thread that runs the node's events — so concurrent workers never touch
+/// the same outbox through this host.
 struct ShardHost final : core::NodeHost {
   explicit ShardHost(RunState &R) : R(R) {}
   void multicast(NodeId From, const graph::Region &To,
@@ -247,6 +301,11 @@ struct RunState {
   const graph::Graph &G;
   const trace::RunnerOptions &Opts;
   uint32_t NumShards;
+  /// ceil(2^64 / NumShards): shardOf and the store index divide by
+  /// multiplying (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+  /// Computation", 2019), exact for every 32-bit node id, so the per-event
+  /// node lookups pay no hardware divide.
+  unsigned __int128 ShardMagic;
   /// Run-wide view intern table: nodes intern concurrently from worker
   /// threads (mutexed, first-sight only), the merge's decode resolves
   /// ids lock-free.
@@ -257,6 +316,9 @@ struct RunState {
   /// pool goes away.
   std::vector<support::FramePool> Frames;
   std::vector<Shard> Shards;
+  /// Threads driving the shards: shard s belongs to worker s % Workers.
+  uint32_t Workers;
+  std::vector<Outbox> Outboxes; ///< One per worker.
   ShardHost Host;
   /// One execution domain per shard: a NodeContext's scratch buffers and
   /// NodeTables slab are single-threaded state, and a shard's nodes all
@@ -270,6 +332,11 @@ struct RunState {
   std::vector<Event> Round;
   std::vector<ShardSlice> Busy; ///< Ascending by shard.
   SimTime Now = 0;              ///< Timestamp of the round being processed.
+  /// Armed retransmit timers, in due order from TimerHead; the round's due
+  /// ones are [TimerHead, DueEnd), sorted by (shard, key, seq).
+  std::vector<Timer> Timers;
+  size_t TimerHead = 0;
+  size_t DueEnd = 0;
 
   // Merge-side (serial) state.
   SplitMix64 MergeRng;
@@ -298,10 +365,12 @@ struct RunState {
   net::ChannelStats ChanStats; ///< Send-side counters.
 
   RunState(const graph::Graph &InG, const trace::RunnerOptions &InOpts,
-           uint32_t InShards, uint64_t Seed)
+           uint32_t InShards, uint32_t InWorkers, uint64_t Seed)
       : G(InG), Opts(InOpts), NumShards(InShards),
+        ShardMagic((((unsigned __int128)1 << 64) + InShards - 1) / InShards),
         Views(InG, InOpts.NodeConfig.Ranking), Frames(InShards),
-        Shards(InShards), Host(*this),
+        Shards(InShards), Workers(InWorkers), Outboxes(InWorkers),
+        Host(*this),
         MergeRng(Seed ^ 0x5368617264456e67ULL /* "ShardEng" */),
         TieSeed(SplitMix64(Seed ^ 0x4669666f54696523ULL).next()),
         Regs(InG),
@@ -327,16 +396,28 @@ struct RunState {
                              : 0);
   }
 
-  uint32_t shardOf(NodeId N) const { return N % NumShards; }
+  /// N % NumShards.
+  uint32_t shardOf(NodeId N) const {
+    uint64_t Fraction = static_cast<uint64_t>(ShardMagic * N);
+    return static_cast<uint32_t>(((unsigned __int128)Fraction * NumShards) >>
+                                 64);
+  }
+  /// N / NumShards: \p N's index in its shard's store.
+  uint32_t indexInShard(NodeId N) const {
+    return static_cast<uint32_t>((ShardMagic * N) >> 64);
+  }
+
+  /// The outbox of the worker that runs \p N's events.
+  Outbox &outboxOf(NodeId N) { return Outboxes[shardOf(N) % Workers]; }
 
   /// Read-only view of \p N's slot (pristine when never written).
   const NodeSlot &slot(NodeId N) const {
-    return Shards[shardOf(N)].Slots[N / NumShards];
+    return Shards[shardOf(N)].Slots[indexInShard(N)];
   }
   /// Writable slot of \p N. Only the owning shard's worker during a
   /// round, or the serial coordinator outside rounds, may call this.
   NodeSlot &slotMut(NodeId N) {
-    return Shards[shardOf(N)].Slots.mut(N / NumShards);
+    return Shards[shardOf(N)].Slots.mut(indexInShard(N));
   }
 
   /// The node about to handle an event: binds and starts it on first
@@ -378,23 +459,70 @@ struct RunState {
     return Mix.next();
   }
 
-  /// Drains the earliest timestamp into Round and slices it by shard;
-  /// returns the round's timestamp.
-  SimTime beginRound() {
-    Calendar.takeRound(Round);
-    Now = Round.front().When;
+  /// Whether any event or armed timer is pending.
+  bool pending() const {
+    return !Calendar.empty() || TimerHead < Timers.size();
+  }
+
+  /// Opens the round at the earliest pending timestamp, of the calendar
+  /// or of the timer FIFO: drains the calendar's events at that time into
+  /// Round, slices them by shard, and sorts the timers due then. Returns
+  /// the round's event count, due timers included.
+  uint64_t beginRound() {
+    SimTime CalendarTime = Calendar.nextTime();
+    Now = CalendarTime;
+    if (TimerHead < Timers.size() && Timers[TimerHead].When < Now)
+      Now = Timers[TimerHead].When;
     Busy.clear();
+    Round.clear();
+    if (CalendarTime == Now)
+      Calendar.takeRound(Round);
     uint32_t Size = static_cast<uint32_t>(Round.size());
     for (uint32_t I = 0; I < Size; ++I)
       if (Busy.empty() || Busy.back().Shard != Round[I].Shard)
-        Busy.push_back(ShardSlice{Round[I].Shard, I, I + 1});
+        Busy.push_back(ShardSlice{Round[I].Shard, Round[I].Shard % Workers,
+                                  I, I + 1, OutMark(), OutMark()});
       else
         Busy.back().End = I + 1;
-    return Now;
+    for (DueEnd = TimerHead;
+         DueEnd < Timers.size() && Timers[DueEnd].When == Now; ++DueEnd)
+      ;
+    std::sort(Timers.begin() + TimerHead, Timers.begin() + DueEnd,
+              [](const Timer &A, const Timer &B) {
+                if (A.Shard != B.Shard)
+                  return A.Shard < B.Shard;
+                if (A.Key != B.Key)
+                  return A.Key < B.Key;
+                return A.Seq < B.Seq;
+              });
+    return Size + (DueEnd - TimerHead);
   }
 
-  void processShard(const ShardSlice &Slice);
+  /// Calls \p F on every \p Kind entry the round's busy slices produced,
+  /// in ascending shard order (production order within a slice).
+  /// Consecutive slices of one worker fill one contiguous range of its
+  /// outbox and are walked as one, so with one worker each kind is a
+  /// single linear pass.
+  template <typename T, typename FnT>
+  void forEachOut(std::vector<T> Outbox::*Kind, uint32_t OutMark::*Mark,
+                  FnT &&F) {
+    for (size_t I = 0; I < Busy.size();) {
+      uint32_t W = Busy[I].Worker;
+      uint32_t Begin = Busy[I].OutBegin.*Mark;
+      uint32_t End = Busy[I].OutEnd.*Mark;
+      while (++I < Busy.size() && Busy[I].Worker == W)
+        End = Busy[I].OutEnd.*Mark;
+      std::vector<T> &Out = Outboxes[W].*Kind;
+      for (uint32_t J = Begin; J < End; ++J)
+        F(Out[J]);
+    }
+  }
+
+  void processShard(ShardSlice &Slice);
   void merge(SimTime T);
+  /// Sends one multicast leg whose frame decodes to \p Msg: accounting,
+  /// then the channel sublayer or the FIFO clamp, then the calendar.
+  void sendLeg(OutMsg &M, const core::Message *Msg, SimTime T);
   void scheduleNotice(NodeId Watcher, NodeId Target, SimTime T);
 
   // --- Fault-plane helpers (merge phase only) ------------------------------
@@ -414,6 +542,10 @@ struct RunState {
     std::vector<RecvHalf> &Recv = Shards[shardOf(To)].Recv;
     Ch.RecvSlot = static_cast<uint32_t>(Recv.size());
     Recv.emplace_back();
+    if (Arq) {
+      Ch.DataStream = Link->streamIndex(From, To);
+      Ch.AckStream = Link->streamIndex(To, From);
+    }
     NodeSlot &FromSlot = slotMut(From);
     Ch.NextOfFrom = FromSlot.Channels;
     FromSlot.Channels = Id;
@@ -494,39 +626,56 @@ struct RunState {
     Ch.Dead = true;
   }
 
-  void scheduleTimer(uint32_t C, SimTime When) {
-    Event E;
-    E.K = Event::TimerCheck;
-    E.From = Chans[C].To;
-    E.To = Chans[C].From;
-    E.Chan = C;
-    E.When = When;
-    schedule(std::move(E));
+  /// Arms channel \p C's retransmit timer for \p When, drawing its key
+  /// and sequence in merge order exactly as schedule() would.
+  void armTimer(uint32_t C, SimTime When) {
+    Chans[C].TimerArmed = true;
+    uint64_t Key = MergeRng.next();
+    Timers.push_back(Timer{When, shardOf(Chans[C].From), C, Key, NextSeq++});
   }
 
-  /// Hands one event (data or pure ack) to the link model: fate draw,
-  /// then 0..2 scheduled copies with per-copy jitter. ARQ mode only.
-  void linkSchedule(Event Proto, SimTime T) {
-    net::LinkModel::Fate Fate = Link->transmit(Proto.From, Proto.To);
+  /// Runs the round's due timers, then drops them from the FIFO. A timer
+  /// whose sender is dead is skipped: the crash purged its channel (crashes
+  /// merge first), so it would lapse anyway.
+  void runDueTimers(SimTime T) {
+    for (size_t I = TimerHead; I < DueEnd; ++I) {
+      uint32_t C = Timers[I].Chan; // onTimer may grow Timers.
+      if (!slot(Chans[C].From).Dead)
+        onTimer(C, T);
+    }
+    TimerHead = DueEnd;
+    // Compact once the spent prefix dominates: amortized O(1) per timer,
+    // and the FIFO stays as large as the armed set, not the run's history.
+    if (TimerHead >= 64 && TimerHead * 2 >= Timers.size()) {
+      Timers.erase(Timers.begin(), Timers.begin() + TimerHead);
+      DueEnd -= TimerHead;
+      TimerHead = 0;
+    }
+  }
+
+  /// Hands one event (data or pure ack) to the link model: fate draw on
+  /// link stream \p Stream, then 0..2 scheduled copies with per-copy
+  /// jitter. ARQ mode only.
+  void linkSchedule(Event &&Proto, uint32_t Stream, SimTime T) {
+    net::LinkModel::Fate Fate = Link->transmitOn(Stream);
     if (Fate.Copies == 0) {
       ++ChanStats.LinkDropped;
       return;
     }
-    if (Fate.Copies == 2)
-      ++ChanStats.LinkDuplicated;
     SimTime Base = Link->baseLatency(Opts.Latency(Proto.From, Proto.To));
     uint64_t ChannelKey = net::channelKey(Proto.From, Proto.To);
-    for (uint32_t I = 0; I < Fate.Copies; ++I) {
-      Event E;
-      if (I + 1 < Fate.Copies)
-        E = Proto;
-      else
-        E = std::move(Proto); // The last copy takes the frame reference.
-      E.When = T + Base + Fate.Extra[I];
+    auto Send = [&](Event &&E, SimTime Extra) {
+      E.When = T + Base + Extra;
       E.Key = channelTieKey(ChannelKey, E.When);
       E.Seq = NextSeq++;
       push(std::move(E));
+    };
+    if (Fate.Copies == 2) {
+      ++ChanStats.LinkDuplicated;
+      Send(Event(Proto), Fate.Extra[0]);
     }
+    // The last copy is the prototype itself, frame reference included.
+    Send(std::move(Proto), Fate.Extra[Fate.Copies - 1]);
   }
 
   /// One expired retransmit timer of channel \p C: re-send overdue window
@@ -556,11 +705,10 @@ struct RunState {
       E.ChanAck = Cum;
       E.Frame = P.Payload.Frame;
       E.Msg = P.Payload.Msg;
-      linkSchedule(std::move(E), T);
+      linkSchedule(std::move(E), Ch.DataStream, T);
       P.LastSent = T;
     }
-    Ch.TimerArmed = true;
-    scheduleTimer(C, T + Rto);
+    armTimer(C, T + Rto);
   }
 
   /// Abandons every channel that involves a crashed node: a dead process
@@ -583,13 +731,13 @@ void ShardHost::multicast(NodeId From, const graph::Region &To,
   uint32_t S = R.shardOf(From);
   support::FrameRef Frame = R.Frames[S].acquire();
   R.slotMut(From).Encoder.encode(M, Frame.mutableBytes());
-  std::vector<OutMsg> &Out = R.Shards[S].OutMsgs;
+  std::vector<OutMsg> &Out = R.outboxOf(From).Msgs;
   for (NodeId Recipient : To)
     Out.push_back(OutMsg{From, Recipient, Frame});
 }
 
 void ShardHost::monitorCrash(NodeId From, const graph::Region &Targets) {
-  std::vector<OutSub> &Out = R.Shards[R.shardOf(From)].OutSubs;
+  std::vector<OutSub> &Out = R.outboxOf(From).Subs;
   for (NodeId Target : Targets)
     if (Target != From) // A node does not monitor itself.
       Out.push_back(OutSub{From, Target});
@@ -597,7 +745,7 @@ void ShardHost::monitorCrash(NodeId From, const graph::Region &Targets) {
 
 void ShardHost::decide(NodeId From, const graph::Region &View,
                        core::Value Chosen) {
-  R.Shards[R.shardOf(From)].OutDecisions.push_back(
+  R.outboxOf(From).Decisions.push_back(
       trace::DecisionRecord{From, View, Chosen, R.Now});
 }
 
@@ -605,8 +753,10 @@ core::Value ShardHost::selectValue(NodeId From, const graph::Region &View) {
   return R.Opts.SelectValue(From, View);
 }
 
-void RunState::processShard(const ShardSlice &Slice) {
+void RunState::processShard(ShardSlice &Slice) {
   Shard &Sh = Shards[Slice.Shard];
+  Outbox &Out = Outboxes[Slice.Worker];
+  Slice.OutBegin = Out.mark();
   for (uint32_t I = Slice.Begin; I < Slice.End; ++I) {
     Event &E = Round[I];
     switch (E.K) {
@@ -636,7 +786,7 @@ void RunState::processShard(const ShardSlice &Slice) {
       {
         // Full ARQ. The piggybacked ack retires the reverse channel's
         // window — staged, since send halves are merge-owned.
-        Sh.OutAcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, true});
+        Out.AcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, true});
         RecvHalf &RH = Sh.Recv[E.RecvSlot];
         switch (RH.accept(E.ChanSeq, Leg{std::move(E.Frame), E.Msg},
                           Sh.Released)) {
@@ -656,20 +806,14 @@ void RunState::processShard(const ShardSlice &Slice) {
         }
         // Ack every data arrival, duplicates included — the original ack
         // may have been the copy the link lost.
-        Sh.OutAcksOwed.push_back(OutAckSend{E.Chan, RH.CumSeq});
+        Out.AcksOwed.push_back(OutAckSend{E.Chan, RH.CumSeq});
       }
       break;
     case Event::AckFrame:
       // A pure ack died with a crashed recipient; otherwise stage it for
       // the merge to retire the acked channel's window.
       if (!slot(E.To).Dead)
-        Sh.OutAcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, false});
-      break;
-    case Event::TimerCheck:
-      // Timer for channel (To -> From). A dead sender retransmits
-      // nothing; its windows were purged when the crash merged.
-      if (!slot(E.To).Dead)
-        Sh.OutTimers.push_back(E.Chan);
+        Out.AcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, false});
       break;
     case Event::CrashNotice:
       // Crashed watchers receive nothing (strong accuracy is structural:
@@ -679,10 +823,11 @@ void RunState::processShard(const ShardSlice &Slice) {
       break;
     case Event::CrashExec:
       slotMut(E.To).Dead = true;
-      Sh.OutCrashed.push_back(E.To);
+      Out.Crashed.push_back(E.To);
       break;
     }
   }
+  Slice.OutEnd = Out.mark();
 }
 
 void RunState::scheduleNotice(NodeId Watcher, NodeId Target, SimTime T) {
@@ -700,54 +845,49 @@ void RunState::merge(SimTime T) {
   // finished.
   auto CrashExecuted = [&](NodeId N) { return slot(N).CrashTime <= T; };
 
-  // Only busy shards produced output; Busy is ascending, so every loop
-  // below drains shard 0 first, exactly as a walk over all shards would.
+  // Only busy shards produced output, walked in ascending shard order,
+  // exactly as a walk over all shards would.
 
   // Crashes first, then subscriptions: a watcher subscribing in the same
   // round a target died is notified by the subscription path (the crash
   // path runs before the watcher is registered), never by both.
-  for (const ShardSlice &B : Busy)
-    for (NodeId Crashed : Shards[B.Shard].OutCrashed) {
-      Regs.forEachWatcher(
-          Crashed, [&](NodeId W) { scheduleNotice(W, Crashed, T); });
-      if (PlaneOn && Arq)
-        purgeChannels(Crashed);
-    }
+  forEachOut(&Outbox::Crashed, &OutMark::Crashed, [&](NodeId Crashed) {
+    Regs.forEachWatcher(Crashed,
+                        [&](NodeId W) { scheduleNotice(W, Crashed, T); });
+    if (PlaneOn && Arq)
+      purgeChannels(Crashed);
+  });
 
-  for (const ShardSlice &B : Busy)
-    for (const OutSub &Sub : Shards[B.Shard].OutSubs) {
-      if (!Regs.subscribe(Sub.Watcher, Sub.Target))
-        continue; // Already subscribed: at-most-once semantics.
-      if (CrashExecuted(Sub.Target))
-        scheduleNotice(Sub.Watcher, Sub.Target, T);
-    }
+  forEachOut(&Outbox::Subs, &OutMark::Subs, [&](const OutSub &Sub) {
+    // A repeat subscription is dropped: at-most-once semantics.
+    if (Regs.subscribe(Sub.Watcher, Sub.Target) &&
+        CrashExecuted(Sub.Target))
+      scheduleNotice(Sub.Watcher, Sub.Target, T);
+  });
 
   // Fault-plane bookkeeping between the rounds: acks retire windows
   // first (so a frame acked this round is not also retransmitted this
-  // round), then expired timers re-send what is still outstanding, then
+  // round), then due timers re-send what is still outstanding, then
   // receivers' owed pure acks enter the link.
   if (PlaneOn && Arq) {
-    for (const ShardSlice &B : Busy)
-      for (const OutAckSeen &A : Shards[B.Shard].OutAcksSeen) {
-        uint32_t C = A.Piggyback ? Chans[A.Chan].Reverse : A.Chan;
-        if (C != NoChannel)
-          onAck(C, A.Cum);
-      }
-    for (const ShardSlice &B : Busy)
-      for (uint32_t C : Shards[B.Shard].OutTimers)
-        onTimer(C, T);
-    for (const ShardSlice &B : Busy)
-      for (const OutAckSend &A : Shards[B.Shard].OutAcksOwed) {
-        ++ChanStats.AcksSent;
-        ChanStats.AckBytes += net::pureAckSize(A.Cum);
-        Event E;
-        E.K = Event::AckFrame;
-        E.From = Chans[A.Chan].To;
-        E.To = Chans[A.Chan].From;
-        E.Chan = A.Chan;
-        E.ChanAck = A.Cum;
-        linkSchedule(std::move(E), T);
-      }
+    forEachOut(&Outbox::AcksSeen, &OutMark::AcksSeen, [&](OutAckSeen &A) {
+      uint32_t C = A.Piggyback ? Chans[A.Chan].Reverse : A.Chan;
+      if (C != NoChannel)
+        onAck(C, A.Cum);
+    });
+    runDueTimers(T);
+    forEachOut(&Outbox::AcksOwed, &OutMark::AcksOwed, [&](OutAckSend &A) {
+      const Channel &Ch = Chans[A.Chan];
+      ++ChanStats.AcksSent;
+      ChanStats.AckBytes += net::pureAckSize(A.Cum);
+      Event E;
+      E.K = Event::AckFrame;
+      E.From = Ch.To;
+      E.To = Ch.From;
+      E.Chan = A.Chan;
+      E.ChanAck = A.Cum;
+      linkSchedule(std::move(E), Ch.AckStream, T);
+    });
   }
 
   // Batched message delivery: one decode per frame, into the message
@@ -755,112 +895,106 @@ void RunState::merge(SimTime T) {
   // clamping per directed channel as in sim::Network.
   const support::FrameBuf *LastFrame = nullptr;
   const core::Message *Decoded = nullptr;
-  for (const ShardSlice &B : Busy)
-    for (OutMsg &M : Shards[B.Shard].OutMsgs) {
-      if (M.Frame.get() != LastFrame) {
-        // Legs of one multicast are contiguous in the outbox (frames are
-        // pool-recycled only after their last leg releases, and every
-        // frame of this batch was acquired before the merge, so the raw
-        // pointer cannot recur within one merge batch).
-        bool Current = false;
-        ParsedFrame &P = M.Frame.attachment<ParsedFrame>(Current);
-        if (!Current)
-          core::decodeOwnFrame(M.From, *M.Frame, Views, P.Msg);
-        Decoded = &P.Msg;
-        LastFrame = M.Frame.get();
-      }
-      uint32_t PayloadBytes = static_cast<uint32_t>(M.Frame->size());
-      Event E;
-      E.K = Event::Deliver;
-      E.From = M.From;
-      E.To = M.To;
-      E.Frame = std::move(M.Frame);
-      E.Msg = Decoded;
-      uint32_t Bytes;
-
-      if (PlaneOn && Arq) {
-        // Reliability sublayer: stamp, account the wrapped wire size,
-        // track for retransmission, hand the copies to the link. The
-        // FIFO clamp is moot — the receive half restores order.
-        uint32_t C = channelId(M.From, M.To);
-        Channel &Ch = Chans[C];
-        E.Chan = C;
-        E.RecvSlot = Ch.RecvSlot;
-        E.ChanSeq = Ch.NextSeq++;
-        E.ChanAck = recvCum(C);
-        Bytes = static_cast<uint32_t>(
-            net::wrappedFrameSize(PayloadBytes, E.ChanSeq, E.ChanAck));
-        ++Result.Stats.MessagesSent;
-        ++Result.Stats.SentByNode.mut(M.From);
-        Result.Stats.BytesSent += Bytes;
-        if (Opts.RecordSends)
-          Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
-        if (Opts.StreamingCheck)
-          Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
-        if (slot(M.To).Dead || Ch.Dead)
-          continue; // Channels to a crashed peer are abandoned.
-        track(C, E.ChanSeq, T, Leg{E.Frame, E.Msg});
-        if (!Ch.TimerArmed) {
-          Ch.TimerArmed = true;
-          scheduleTimer(C, T + Rto);
-        }
-        linkSchedule(std::move(E), T);
-        continue;
-      }
-
-      if (PlaneOn && Opts.Link.Armed) {
-        // Stamp-and-verify: sequence numbers ride along, nothing else.
-        uint32_t C = channelId(M.From, M.To);
-        E.Chan = C;
-        E.RecvSlot = Chans[C].RecvSlot;
-        E.ChanSeq = Chans[C].NextSeq++;
-        Bytes = static_cast<uint32_t>(
-            net::wrappedFrameSize(PayloadBytes, E.ChanSeq, 0));
-      } else {
-        Bytes = PayloadBytes;
-      }
-      ++Result.Stats.MessagesSent;
-      ++Result.Stats.SentByNode.mut(M.From);
-      Result.Stats.BytesSent += Bytes;
-      if (Opts.RecordSends)
-        Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
-      if (Opts.StreamingCheck)
-        Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
-      E.When = T + (PlaneOn ? Link->baseLatency(Opts.Latency(M.From, M.To))
-                            : Opts.Latency(M.From, M.To));
-      uint64_t ChannelKey = net::channelKey(M.From, M.To);
-      if (!Opts.MonotoneLatency || PlaneOn) {
-        SimTime &Last = LastDelivery[ChannelKey];
-        if (E.When < Last)
-          E.When = Last;
-        Last = E.When;
-      }
-      // FIFO within a tick: deliveries on one channel that land at the
-      // same timestamp must be handled in send order. Keying the tie-break
-      // by (seed, channel, time) instead of a fresh draw gives equal keys
-      // exactly there, so the order falls through to Seq — which is merge
-      // (= send) order — while messages on *different* channels still
-      // shuffle under the seeded permutation.
-      E.Key = channelTieKey(ChannelKey, E.When);
-      E.Seq = NextSeq++;
-      push(std::move(E));
+  forEachOut(&Outbox::Msgs, &OutMark::Msgs, [&](OutMsg &M) {
+    if (M.Frame.get() != LastFrame) {
+      // Legs of one multicast are contiguous in the outbox (frames are
+      // pool-recycled only after their last leg releases, and every
+      // frame of this batch was acquired before the merge, so the raw
+      // pointer cannot recur within one merge batch).
+      bool Current = false;
+      ParsedFrame &P = M.Frame.attachment<ParsedFrame>(Current);
+      if (!Current)
+        core::decodeOwnFrame(M.From, *M.Frame, Views, P.Msg);
+      Decoded = &P.Msg;
+      LastFrame = M.Frame.get();
     }
+    sendLeg(M, Decoded, T);
+  });
 
-  for (const ShardSlice &B : Busy) {
-    Shard &Sh = Shards[B.Shard];
-    for (trace::DecisionRecord &D : Sh.OutDecisions) {
-      if (Opts.StreamingCheck)
-        Opts.StreamingCheck->onDecision(D);
-      Result.Decisions.push_back(std::move(D));
-    }
-    Sh.OutCrashed.clear();
-    Sh.OutSubs.clear();
-    Sh.OutMsgs.clear();
-    Sh.OutDecisions.clear();
-    Sh.OutAcksSeen.clear();
-    Sh.OutAcksOwed.clear();
-    Sh.OutTimers.clear();
+  forEachOut(&Outbox::Decisions, &OutMark::Decisions,
+             [&](trace::DecisionRecord &D) {
+               if (Opts.StreamingCheck)
+                 Opts.StreamingCheck->onDecision(D);
+               Result.Decisions.push_back(std::move(D));
+             });
+  for (Outbox &Out : Outboxes)
+    Out.clear();
+}
+
+void RunState::sendLeg(OutMsg &M, const core::Message *Msg, SimTime T) {
+  uint32_t PayloadBytes = static_cast<uint32_t>(M.Frame->size());
+  Event E;
+  E.K = Event::Deliver;
+  E.From = M.From;
+  E.To = M.To;
+  E.Frame = std::move(M.Frame);
+  E.Msg = Msg;
+  uint32_t Bytes;
+
+  if (PlaneOn && Arq) {
+    // Reliability sublayer: stamp, account the wrapped wire size,
+    // track for retransmission, hand the copies to the link. The
+    // FIFO clamp is moot — the receive half restores order.
+    uint32_t C = channelId(M.From, M.To);
+    Channel &Ch = Chans[C];
+    E.Chan = C;
+    E.RecvSlot = Ch.RecvSlot;
+    E.ChanSeq = Ch.NextSeq++;
+    E.ChanAck = recvCum(C);
+    Bytes = static_cast<uint32_t>(
+        net::wrappedFrameSize(PayloadBytes, E.ChanSeq, E.ChanAck));
+    ++Result.Stats.MessagesSent;
+    ++Result.Stats.SentByNode.mut(M.From);
+    Result.Stats.BytesSent += Bytes;
+    if (Opts.RecordSends)
+      Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
+    if (Opts.StreamingCheck)
+      Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
+    if (slot(M.To).Dead || Ch.Dead)
+      return; // Channels to a crashed peer are abandoned.
+    track(C, E.ChanSeq, T, Leg{E.Frame, E.Msg});
+    if (!Ch.TimerArmed)
+      armTimer(C, T + Rto);
+    linkSchedule(std::move(E), Ch.DataStream, T);
+    return;
   }
+
+  if (PlaneOn && Opts.Link.Armed) {
+    // Stamp-and-verify: sequence numbers ride along, nothing else.
+    uint32_t C = channelId(M.From, M.To);
+    E.Chan = C;
+    E.RecvSlot = Chans[C].RecvSlot;
+    E.ChanSeq = Chans[C].NextSeq++;
+    Bytes = static_cast<uint32_t>(
+        net::wrappedFrameSize(PayloadBytes, E.ChanSeq, 0));
+  } else {
+    Bytes = PayloadBytes;
+  }
+  ++Result.Stats.MessagesSent;
+  ++Result.Stats.SentByNode.mut(M.From);
+  Result.Stats.BytesSent += Bytes;
+  if (Opts.RecordSends)
+    Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
+  if (Opts.StreamingCheck)
+    Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
+  E.When = T + (PlaneOn ? Link->baseLatency(Opts.Latency(M.From, M.To))
+                        : Opts.Latency(M.From, M.To));
+  uint64_t ChannelKey = net::channelKey(M.From, M.To);
+  if (!Opts.MonotoneLatency || PlaneOn) {
+    SimTime &Last = LastDelivery[ChannelKey];
+    if (E.When < Last)
+      E.When = Last;
+    Last = E.When;
+  }
+  // FIFO within a tick: deliveries on one channel that land at the
+  // same timestamp must be handled in send order. Keying the tie-break
+  // by (seed, channel, time) instead of a fresh draw gives equal keys
+  // exactly there, so the order falls through to Seq — which is merge
+  // (= send) order — while messages on *different* channels still
+  // shuffle under the seeded permutation.
+  E.Key = channelTieKey(ChannelKey, E.When);
+  E.Seq = NextSeq++;
+  push(std::move(E));
 }
 
 } // namespace
@@ -875,13 +1009,16 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   NumShards = std::min<uint32_t>(std::max<uint32_t>(NumShards, 1),
                                  std::max<uint32_t>(G.numNodes(), 1));
 
-  RunState Run(G, Options, NumShards, Job.Seed);
+  unsigned Workers = std::max(1u, Opts.Workers);
+  Workers = std::min<unsigned>(Workers, NumShards);
+
+  RunState Run(G, Options, NumShards, Workers, Job.Seed);
   Run.Result.Stats.SentByNode = sim::SendCounts(G.numNodes());
   Run.Result.CrashTimes.assign(G.numNodes(), TimeNever);
 
   // Per-shard execution domains; nodes bind to their shard's context on
-  // first touch, effects route through the shared ShardHost into
-  // shard-local outboxes.
+  // first touch, effects route through the shared ShardHost into worker
+  // outboxes.
   Run.Ctxs.reserve(NumShards);
   for (uint32_t S = 0; S < NumShards; ++S)
     Run.Ctxs.emplace_back(new core::NodeContext(G, Run.Views,
@@ -922,24 +1059,21 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   // No <init> wave and no start merge: each node runs <init> on its first
   // touch (liveNode), inside the round that delivers its first event.
 
-  // Round loop: drain the earliest timestamp, process the busy shards,
-  // then merge.
+  // Round loop: open the earliest timestamp, process the busy shards,
+  // then merge (due retransmit timers run there).
   uint64_t TotalProcessed = 0;
   bool Quiesced = true;
-  unsigned Workers = std::max(1u, Opts.Workers);
-  Workers = std::min<unsigned>(Workers, NumShards);
 
   if (Workers <= 1) {
-    while (!Run.Calendar.empty()) {
+    while (Run.pending()) {
       if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
         Quiesced = false;
         break;
       }
-      SimTime T = Run.beginRound();
-      for (const ShardSlice &B : Run.Busy)
+      TotalProcessed += Run.beginRound();
+      for (ShardSlice &B : Run.Busy)
         Run.processShard(B);
-      TotalProcessed += Run.Round.size();
-      Run.merge(T);
+      Run.merge(Run.Now);
     }
   } else {
     // Persistent worker team, generation-stepped: the coordinator drains
@@ -966,8 +1100,8 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
               return;
             Seen = Generation;
           }
-          for (const ShardSlice &B : Run.Busy)
-            if (B.Shard % Workers == W)
+          for (ShardSlice &B : Run.Busy)
+            if (B.Worker == W)
               Run.processShard(B);
           {
             std::lock_guard<std::mutex> Lock(Mu);
@@ -977,12 +1111,12 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
         }
       });
 
-    while (!Run.Calendar.empty()) {
+    while (Run.pending()) {
       if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
         Quiesced = false;
         break;
       }
-      SimTime T = Run.beginRound();
+      TotalProcessed += Run.beginRound();
       {
         std::lock_guard<std::mutex> Lock(Mu);
         Remaining = Workers;
@@ -993,8 +1127,7 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
         std::unique_lock<std::mutex> Lock(Mu);
         DoneCv.wait(Lock, [&] { return Remaining == 0; });
       }
-      TotalProcessed += Run.Round.size();
-      Run.merge(T);
+      Run.merge(Run.Now);
     }
 
     {

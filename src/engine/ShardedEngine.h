@@ -9,14 +9,14 @@
 /// A sharded execution backend, grown out of runtime::ThreadedCluster's
 /// node-per-thread demo into a first-class engine:
 ///
-///  * nodes are partitioned over a fixed number of logical shards, each
-///    with its own event queue — no global heap, no per-event closure
-///    allocation (events are plain structs);
+///  * nodes are partitioned over a fixed number of logical shards whose
+///    events share one run-wide calendar of per-tick buckets — no global
+///    heap, no per-event closure allocation (events are plain structs);
 ///  * execution is round-based: all events of the globally earliest
 ///    timestamp run in parallel across shards (handlers of distinct nodes
 ///    at one instant commute — they only touch per-node state and emit
-///    outputs into shard-local outboxes);
-///  * between rounds a serial deterministic merge applies the outboxes:
+///    outputs into their worker's outbox);
+///  * between rounds a serial deterministic merge applies the outputs:
 ///    cross-shard messages are delivered in batches (each multicast frame
 ///    is encoded and decoded once, then shared by every recipient),
 ///    failure-detector subscriptions and crash notifications are resolved

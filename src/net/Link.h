@@ -30,12 +30,12 @@
 #define CLIFFEDGE_NET_LINK_H
 
 #include "net/Channel.h"
+#include "support/FlatHash.h"
 #include "support/Ids.h"
 #include "support/Random.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace cliffedge {
@@ -120,7 +120,8 @@ public:
       : Spec(Spec), Seed(Salt ? SplitMix64(Seed ^ Salt).next() : Seed) {}
 
   /// The fate of one transmission: how many copies the medium delivers
-  /// (0 = dropped, 2 = duplicated) and each copy's extra jitter.
+  /// (0 = dropped, 2 = duplicated) and each copy's extra jitter (only
+  /// Extra[0 .. Copies) is meaningful).
   struct Fate {
     uint32_t Copies = 1;
     SimTime Extra[2] = {0, 0};
@@ -129,7 +130,27 @@ public:
   /// Draws the next fate on channel (From, To), consuming a fixed number
   /// of stream values so fates are positional per channel.
   Fate transmit(NodeId From, NodeId To) {
-    SplitMix64 &S = stream(From, To);
+    return transmitOn(streamIndex(From, To));
+  }
+
+  /// Index of channel (From, To)'s stream, created on first use. A
+  /// transport that keeps per-channel state resolves it once and then
+  /// transmits by index, with no lookup per transmission; either way the
+  /// channel draws from the same stream.
+  uint32_t streamIndex(NodeId From, NodeId To) {
+    uint64_t Key = channelKey(From, To);
+    uint32_t &Index = StreamIds[Key];
+    if (!Index) {
+      Streams.emplace_back(Seed ^ 0x6c696e6b6d6f6465ULL ^
+                           (Key * 0x9e3779b97f4a7c15ULL));
+      Index = static_cast<uint32_t>(Streams.size());
+    }
+    return Index - 1;
+  }
+
+  /// transmit() on the channel whose streamIndex() is \p Stream.
+  Fate transmitOn(uint32_t Stream) {
+    SplitMix64 &S = Streams[Stream];
     uint64_t DropDraw = S.next();
     uint64_t DupDraw = S.next();
     uint64_t J1 = S.next();
@@ -142,8 +163,11 @@ public:
     if (Spec.DupBp && (DupDraw % 10000) < Spec.DupBp)
       F.Copies = 2;
     if (Spec.Reorder) {
+      // Only delivered copies get a jitter: the draw is consumed either
+      // way, the division (a hardware divide) only when it is read.
       F.Extra[0] = J1 % (Spec.Reorder + 1);
-      F.Extra[1] = J2 % (Spec.Reorder + 1);
+      if (F.Copies == 2)
+        F.Extra[1] = J2 % (Spec.Reorder + 1);
     }
     return F;
   }
@@ -157,20 +181,11 @@ public:
   const LinkSpec &spec() const { return Spec; }
 
 private:
-  SplitMix64 &stream(NodeId From, NodeId To) {
-    uint64_t Key = channelKey(From, To);
-    auto It = Streams.find(Key);
-    if (It == Streams.end())
-      It = Streams
-               .emplace(Key, SplitMix64(Seed ^ 0x6c696e6b6d6f6465ULL ^
-                                        (Key * 0x9e3779b97f4a7c15ULL)))
-               .first;
-    return It->second;
-  }
-
   LinkSpec Spec;
   uint64_t Seed;
-  std::unordered_map<uint64_t, SplitMix64> Streams;
+  /// channelKey -> index + 1 into Streams: one flat probe per transmit.
+  U64FlatMap<uint32_t> StreamIds;
+  std::vector<SplitMix64> Streams;
 };
 
 } // namespace net

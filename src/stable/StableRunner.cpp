@@ -80,17 +80,15 @@ StableScenarioRunner::StableScenarioRunner(const graph::Graph &InG,
   // Application heartbeats: marked nodes keep serving (the whole point of
   // the generalisation — the subject of the agreement is alive).
   if (Opts.AppTickPeriod > 0)
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-      // Periodic self-re-arming heartbeat until AppTicksEnd.
-      std::shared_ptr<std::function<void()>> Chain =
-          std::make_shared<std::function<void()>>();
-      *Chain = [this, N, Chain]() {
-        ++AppTicks[N];
-        if (Sim.now() + Opts.AppTickPeriod <= Opts.AppTicksEnd)
-          Sim.after(Opts.AppTickPeriod, *Chain);
-      };
-      Sim.at(Opts.AppTickPeriod, *Chain);
-    }
+    for (NodeId N = 0; N < G.numNodes(); ++N)
+      Sim.at(Opts.AppTickPeriod, [this, N]() { appTick(N); });
+}
+
+void StableScenarioRunner::appTick(NodeId N) {
+  // Periodic heartbeat until AppTicksEnd: each tick schedules the next.
+  ++AppTicks[N];
+  if (Sim.now() + Opts.AppTickPeriod <= Opts.AppTicksEnd)
+    Sim.after(Opts.AppTickPeriod, [this, N]() { appTick(N); });
 }
 
 void StableScenarioRunner::scheduleMark(NodeId Node, SimTime When) {

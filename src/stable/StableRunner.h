@@ -90,6 +90,9 @@ public:
   trace::CheckInput makeCheckInput() const;
 
 private:
+  /// One application heartbeat of node \p N; re-arms itself.
+  void appTick(NodeId N);
+
   const graph::Graph &G;
   StableRunnerOptions Opts;
   core::ViewTable Views{G, Opts.NodeConfig.Ranking};

@@ -268,4 +268,69 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, EngineGolden,
                          ::testing::Range<size_t>(0, std::size(Cases)),
                          caseName);
 
+/// Retransmit timers on the sharded engine. Both specs pair a fixed
+/// 30-tick latency with a shorter retransmit timeout, so timers fall due
+/// while their frames and acks are still in flight.
+///
+/// Many ticks have only timers due (about 24 per run here): the rounds
+/// run at a timer's due time with nothing drained from the calendar.
+scenario::Spec timerOnlyTicks() {
+  return parseOrDie("scenario timer-only-ticks\n"
+                    "topology torus:6x6\n"
+                    "latency fixed 30\n"
+                    "link drop:0.3 rto:7\n"
+                    "detect 5\n"
+                    "check on\n"
+                    "crash nodes 14 at 100\n");
+}
+
+/// Node 15 multicasts at t=105, on detecting 14's crash, and arms its
+/// channels' timers for t=125, the tick its own crash executes. Its four
+/// timers due then are skipped: the crash, merged first, purged their
+/// channels.
+scenario::Spec crashOnTimerTick() {
+  return parseOrDie("scenario crash-on-timer-tick\n"
+                    "topology torus:6x6\n"
+                    "latency fixed 30\n"
+                    "link drop:0.2 rto:20\n"
+                    "detect 5\n"
+                    "check on\n"
+                    "crash nodes 14,15 at 100 gap 25\n");
+}
+
+struct TimerCase {
+  const char *Name;
+  scenario::Spec (*Load)();
+  uint64_t Seed;
+  uint64_t Hash;
+};
+
+// Recorded with retransmit timers still scheduled as calendar events.
+const TimerCase TimerCases[] = {
+    {"timer_only_ticks", timerOnlyTicks, 1, 0x483d7648855defb1ULL},
+    {"crash_on_timer_tick", crashOnTimerTick, 1, 0x530ca609a44cd528ULL},
+};
+
+class ShardedTimerGolden : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ShardedTimerGolden, HashIsPinnedAtEveryWorkerCount) {
+  const TimerCase &C = TimerCases[GetParam()];
+  scenario::Spec V = C.Load();
+  for (unsigned Workers : {1u, 2u, 3u}) {
+    engine::EngineOptions EO;
+    EO.Workers = Workers;
+    engine::ShardedEngine Sharded(EO);
+    uint64_t Hash = engineHash(Sharded, V, C.Seed, 1);
+    EXPECT_EQ(Hash, C.Hash) << C.Name << " workers " << Workers
+                            << ": new hash 0x" << std::hex << Hash;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LossyTimers, ShardedTimerGolden,
+    ::testing::Range<size_t>(0, std::size(TimerCases)),
+    [](const ::testing::TestParamInfo<size_t> &Info) {
+      return std::string(TimerCases[Info.param].Name);
+    });
+
 } // namespace

@@ -144,7 +144,8 @@ def distill(gbench):
         benchmarks[entry["name"]] = {"ns": round(to_ns(entry), 3)}
         for key in ("allocs_per_msg", "steady_msgs", "state_highwater",
                     "open_waves_hw", "peak_rss_mb", "alloc_mb", "allocs",
-                    "frame_bytes", "allocs_per_event", "allocs_per_crash"):
+                    "frame_bytes", "allocs_per_event", "allocs_per_crash",
+                    "allocs_per_call"):
             if key in entry:
                 counters[(entry["name"], key)] = entry[key]
 
@@ -178,7 +179,8 @@ def distill(gbench):
             f"BM_RegionUnionInPlace/{arg}",
             f"region_union_alloc_over_inplace_{arg}",
         )
-    # The id-only v3 steady-state frames against the full-region v2 layout.
+    # The id-only v3 steady-state frames against the full-region v2 layout
+    # (time ratios, informational: see INFO_RATIOS).
     for arg in (4, 32, 256):
         ratio(
             f"BM_WireEncode/{arg}",
@@ -238,12 +240,28 @@ def distill(gbench):
     if des and des["ns"] > 0:
         derived["engine_quake_des_speedup_vs_pr3"] = round(
             QUAKE_DES_PR3_NS / des["ns"], 2)
-    # Allocations per processed event of one dense DES job (jittered
-    # storm + checkAll), from the operator-new hook: deterministic, so it
-    # carries a --require ceiling.
+    # The live v3 path in deterministic counts: the frame's bytes and the
+    # heap allocations per encode and decode call. The 32-member frame is
+    # gated exactly and its allocations at zero; a full-region frame or a
+    # per-call allocation trips them, on any host.
+    for arg in (4, 32, 256):
+        size = counters.get((f"BM_WireEncodeV3/{arg}", "frame_bytes"))
+        if size is not None:
+            derived[f"wire_v3_frame_bytes_{arg}"] = size
+        for bench, out in (("BM_WireEncodeV3", "wire_v3_encode_allocs"),
+                           ("BM_WireDecodeV3", "wire_v3_decode_allocs")):
+            value = counters.get((f"{bench}/{arg}", "allocs_per_call"))
+            if value is not None:
+                derived[f"{out}_{arg}"] = float(f"{value:.3g}")
+    # Allocations per processed event of one dense job (jittered storm +
+    # checkAll) on each engine, from the operator-new hook: deterministic,
+    # so both carry --require ceilings.
     dense = counters.get(("BM_DenseStormJob", "allocs_per_event"))
     if dense is not None:
         derived["dense_job_allocs_per_event"] = round(dense, 4)
+    dense = counters.get(("BM_DenseStormJobSharded", "allocs_per_event"))
+    if dense is not None:
+        derived["dense_job_allocs_per_event_sharded"] = round(dense, 4)
     # The same count for one lossy sharded job (lossy_churn shape:
     # sharded merge, net ARQ, streaming checker).
     lossy = counters.get(("BM_LossyChurnJob", "allocs_per_event"))
@@ -310,6 +328,13 @@ def distill(gbench):
 # the history only (the distill() comments say the same).
 WALL_CLOCK_DERIVED = {"engine_quake_des_speedup_vs_pr3"}
 
+# Within-run time ratios kept for the history only. The legacy wire
+# encoders against the live v3 path read 1.79 against a floor of 2 on
+# unchanged code; the deterministic wire_v3_* counts gate that path now.
+INFO_RATIOS = {f"wire_{pair}_{arg}" for arg in (4, 32, 256)
+               for pair in ("v1_over_v2_encode", "v2_over_v3_encode",
+                            "v2_over_v3_decode")}
+
 # Derived metrics where *lower* is better (sizes, times), unlike the
 # speedup ratios above: baseline comparison flags a rise past the
 # threshold and treats any drop as an improvement. engine_million_des_ms
@@ -318,11 +343,15 @@ WALL_CLOCK_DERIVED = {"engine_quake_des_speedup_vs_pr3"}
 LOWER_IS_BETTER = {"engine_million_peak_rss_mb", "engine_million_des_ms",
                    "idle_job_alloc_mb", "idle_job_alloc_mb_des",
                    "idle_job_alloc_mb_sharded", "dense_job_allocs_per_event",
+                   "dense_job_allocs_per_event_sharded",
                    "lossy_job_allocs_per_event",
                    "event_queue_allocs_per_event", "world_build_alloc_mb",
                    "crash_burst_allocs_per_crash_8",
                    "crash_burst_allocs_per_crash_16",
-                   "crash_burst_allocs_per_crash_32"}
+                   "crash_burst_allocs_per_crash_32"} | {
+                       f"wire_v3_{kind}_{arg}" for arg in (4, 32, 256)
+                       for kind in ("frame_bytes", "encode_allocs",
+                                    "decode_allocs")}
 
 
 def compare(baseline, fresh, threshold, absolute="gate"):
@@ -386,6 +415,8 @@ def compare(baseline, fresh, threshold, absolute="gate"):
         if drop > threshold:
             if name in WALL_CLOCK_DERIVED:
                 marker = "  <-- slower (informational: wall-clock pinned)"
+            elif name in INFO_RATIOS:
+                marker = "  <-- slower (informational: time ratio)"
             else:
                 marker = "  <-- REGRESSION"
                 regressions.append(
@@ -417,8 +448,9 @@ def main():
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME>=VALUE",
                         help="absolute bound on a derived metric: a floor "
-                             "(wire_v1_over_v2_encode_32>=1.5) or a ceiling "
-                             "(round_processing_allocs_per_msg<=0). "
+                             "(NAME>=VALUE), a ceiling "
+                             "(round_processing_allocs_per_msg<=0) "
+                             "or an exact value (wire_v3_frame_bytes_32==N). "
                              "Repeatable. Unlike --threshold these bounds "
                              "are immune to machine-to-machine noise, which "
                              "makes them the right gate for CI (the ctest "
@@ -435,7 +467,7 @@ def main():
 
     requirements = []
     for spec in args.require:
-        for op in (">=", "<="):
+        for op in (">=", "<=", "=="):
             name, sep, value = spec.partition(op)
             if sep:
                 try:
@@ -446,8 +478,8 @@ def main():
                 requirements.append((name.strip(), op, bound))
                 break
         else:
-            sys.exit(f"error: --require wants NAME>=VALUE or NAME<=VALUE, "
-                     f"got '{spec}'")
+            sys.exit(f"error: --require wants NAME>=VALUE, NAME<=VALUE or "
+                     f"NAME==VALUE, got '{spec}'")
 
     # Load the baseline before anything is written: --out and --baseline may
     # be the same file.
@@ -490,6 +522,8 @@ def main():
             floor_failures.append(f"{name}: {value} below floor {bound}")
         elif op == "<=" and value > bound:
             floor_failures.append(f"{name}: {value} above ceiling {bound}")
+        elif op == "==" and value != bound:
+            floor_failures.append(f"{name}: {value} is not exactly {bound}")
     if floor_failures:
         print("\nFLOOR FAILURES:")
         for f in floor_failures:
