@@ -311,16 +311,14 @@ void BM_DenseStormJob(benchmark::State &State) {
 BENCHMARK(BM_DenseStormJob)->Unit(benchmark::kMillisecond);
 
 void BM_DenseStormJobSharded(benchmark::State &State) {
-  engine::EngineOptions EO;
-  EO.Workers = 1;
-  engine::ShardedEngine Eng(EO);
+  engine::ShardedEngine Eng;
   runDenseStormJob(State, Eng);
 }
 BENCHMARK(BM_DenseStormJobSharded)->Unit(benchmark::kMillisecond);
 
 // -- Lossy job: allocations per event on the sharded fault plane --------------
 //
-// One ShardedEngine job (one worker) of the lossy_churn shape — a
+// One ShardedEngine job of the lossy_churn shape — a
 // 2,304-node torus, uniform 1..20 latency, links that drop, duplicate and
 // reorder frames — running one service epoch (Poisson(4) outages of six
 // nodes within 200 ticks, capped as a service epoch is) on a fixed seed,
@@ -353,9 +351,7 @@ void BM_LossyChurnJob(benchmark::State &State) {
   }();
   static const graph::Graph G = graph::makeTorus(48, 48);
   constexpr uint64_t Seed = 1;
-  engine::EngineOptions EO;
-  EO.Workers = 1;
-  engine::ShardedEngine Eng(EO);
+  engine::ShardedEngine Eng;
   uint64_t Allocs = 0, Events = 0;
   bool Ok = true;
   for (auto _ : State) {
@@ -793,10 +789,8 @@ BENCHMARK(BM_EventDeliverySharded)->Arg(1024)->Arg(16384);
 // The scenarios/large_torus_quake.scn world under a heavier storm (150
 // ten-node regions), executed end-to-end by each backend. Protocol work
 // (view construction, opinion merging) is identical code on both sides, so
-// the single-core gap here reflects only the delivery-layer differences
-// (no per-event closures, one decode per multicast instead of one per
-// recipient); on multi-core hardware the sharded rounds additionally
-// parallelise across --jobs workers.
+// the gap here reflects only the delivery-layer differences (calendar
+// rounds and the merge against the simulator's event heap).
 
 const scenario::Spec &quakeStormSpec() {
   static const scenario::Spec S = [] {
@@ -849,15 +843,10 @@ void BM_EngineQuakeStorm_Des(benchmark::State &State) {
 BENCHMARK(BM_EngineQuakeStorm_Des)->Unit(benchmark::kMillisecond);
 
 void BM_EngineQuakeStorm_Sharded(benchmark::State &State) {
-  engine::EngineOptions Opts;
-  Opts.Workers = static_cast<unsigned>(State.range(0));
-  engine::ShardedEngine Eng(Opts);
+  engine::ShardedEngine Eng;
   runEngineStorm(State, Eng);
 }
-BENCHMARK(BM_EngineQuakeStorm_Sharded)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineQuakeStorm_Sharded)->Unit(benchmark::kMillisecond);
 
 // -- Wire format -------------------------------------------------------------
 
@@ -883,38 +872,6 @@ core::Message sampleMessage(size_t BorderSize) {
     M.Opinions[I] = core::OpinionEntry{core::Opinion::Accept, I};
   return M;
 }
-
-// BM_WireEncode / BM_WireDecode keep benchmarking the v2 full-region
-// layout so the wire_v1_over_v2_* metric series stays comparable across
-// baselines; the *_V3 pair measures the current id-only steady-state path.
-
-void BM_WireEncode(benchmark::State &State) {
-  core::Message M = sampleMessage(State.range(0));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(core::encodeMessageV2(M));
-}
-BENCHMARK(BM_WireEncode)->Arg(4)->Arg(32)->Arg(256);
-
-void BM_WireDecode(benchmark::State &State) {
-  auto Bytes = core::encodeMessageV2(sampleMessage(State.range(0)));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(core::decodeMessage(Bytes, wireBenchTable()));
-}
-BENCHMARK(BM_WireDecode)->Arg(4)->Arg(32)->Arg(256);
-
-void BM_WireEncodeV1(benchmark::State &State) {
-  core::Message M = sampleMessage(State.range(0));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(core::encodeMessageV1(M));
-}
-BENCHMARK(BM_WireEncodeV1)->Arg(4)->Arg(32)->Arg(256);
-
-void BM_WireDecodeV1(benchmark::State &State) {
-  auto Bytes = core::encodeMessageV1(sampleMessage(State.range(0)));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(core::decodeMessage(Bytes, wireBenchTable()));
-}
-BENCHMARK(BM_WireDecodeV1)->Arg(4)->Arg(32)->Arg(256);
 
 // The *_V3 pair also exports deterministic counts of the live path: the
 // frame's bytes and the heap allocations per call over the timed loop

@@ -20,17 +20,14 @@ using core::OpinionVec;
 
 NaiveLocalNode::NaiveLocalNode(NodeId InSelf, const graph::Graph &InG,
                                core::ViewTable &InViews,
-                               core::Callbacks InCBs)
-    : Self(InSelf), G(InG), Views(InViews), CBs(std::move(InCBs)),
-      CrashedComponents(InG) {
-  assert(CBs.Multicast && CBs.MonitorCrash && CBs.Decide &&
-         CBs.SelectValue && "all callbacks must be provided");
-}
+                               core::NodeHost &InHost)
+    : Self(InSelf), G(InG), Views(InViews), Host(InHost),
+      CrashedComponents(InG) {}
 
 void NaiveLocalNode::start() {
   assert(!Started && "start() called twice");
   Started = true;
-  CBs.MonitorCrash(G.border(Self));
+  Host.monitorCrash(Self, G.border(Self));
 }
 
 void NaiveLocalNode::onCrash(NodeId Q) {
@@ -41,7 +38,7 @@ void NaiveLocalNode::onCrash(NodeId Q) {
   CrashedComponents.addCrashed(Q);
   G.borderInto(Q, MonitorScratch);
   MonitorScratch.differenceInPlace(LocallyCrashed);
-  CBs.MonitorCrash(MonitorScratch);
+  Host.monitorCrash(Self, MonitorScratch);
 
   // The naive flaw: propose every region detected, *without* rejecting the
   // superseded smaller ones. Old instances keep running and may still
@@ -106,12 +103,12 @@ void NaiveLocalNode::acceptAndJoin(const graph::Region &V, Instance &I) {
   I.Accepted = true;
   OpinionVec Op(I.Border.size());
   Op[core::memberIndex(I.Border, Self)] =
-      OpinionEntry{Opinion::Accept, CBs.SelectValue(V)};
+      OpinionEntry{Opinion::Accept, Host.selectValue(Self, V)};
   Message M;
   M.Round = 1;
   M.setView(Views.intern(V, I.Border));
   M.Opinions = std::move(Op);
-  CBs.Multicast(I.Border, M);
+  Host.multicast(Self, I.Border, M);
 }
 
 void NaiveLocalNode::pump(const graph::Region &V, Instance &I) {
@@ -124,7 +121,7 @@ void NaiveLocalNode::pump(const graph::Region &V, Instance &I) {
         Decided = true;
         DecidedV = V;
         DecidedVal = Vec[0].Val;
-        CBs.Decide(V, DecidedVal);
+        Host.decide(Self, V, DecidedVal);
       }
       return;
     }
@@ -133,6 +130,6 @@ void NaiveLocalNode::pump(const graph::Region &V, Instance &I) {
     M.Round = I.Round;
     M.setView(Views.intern(V, I.Border));
     M.Opinions = I.Opinions[I.Round - 2];
-    CBs.Multicast(I.Border, M);
+    Host.multicast(Self, I.Border, M);
   }
 }

@@ -33,12 +33,13 @@
 namespace cliffedge {
 namespace baseline {
 
-/// One node of the naive local protocol. Reuses core::Callbacks (Multicast,
-/// MonitorCrash, Decide, SelectValue).
+/// One node of the naive local protocol. Its effects go through the same
+/// core::NodeHost the real protocol uses (multicast, monitorCrash, decide,
+/// selectValue); the host must outlive the node.
 class NaiveLocalNode {
 public:
   NaiveLocalNode(NodeId Self, const graph::Graph &G, core::ViewTable &Views,
-                 core::Callbacks CBs);
+                 core::NodeHost &Host);
 
   void start();
   void onCrash(NodeId Q);
@@ -67,7 +68,7 @@ private:
   NodeId Self;
   const graph::Graph &G;
   core::ViewTable &Views;
-  core::Callbacks CBs;
+  core::NodeHost &Host;
 
   bool Started = false;
   bool Decided = false;

@@ -122,29 +122,35 @@ NaiveScenarioRunner::NaiveScenarioRunner(const graph::Graph &InG,
           Nodes[To]->onDeliver(From, *M);
       });
   Nodes.reserve(G.numNodes());
-  for (NodeId N = 0; N < G.numNodes(); ++N) {
-    core::Callbacks CBs;
-    CBs.Multicast = [this, N](const graph::Region &To,
-                              const core::Message &M) {
-      sim::Network::Frame Frame =
-          support::FrameRef::fresh(core::encodeMessage(M));
-      for (NodeId Recipient : To)
-        Net.send(N, Recipient, Frame);
-    };
-    CBs.MonitorCrash = [this, N](const graph::Region &Targets) {
-      Detector.monitor(N, Targets);
-    };
-    CBs.Decide = [this, N](const graph::Region &View, core::Value Chosen) {
-      Decisions.push_back(trace::DecisionRecord{N, View, Chosen, Sim.now()});
-    };
-    CBs.SelectValue = [N](const graph::Region &) {
-      return static_cast<core::Value>(N);
-    };
-    Nodes.push_back(
-        std::make_unique<NaiveLocalNode>(N, G, Views, std::move(CBs)));
-  }
+  for (NodeId N = 0; N < G.numNodes(); ++N)
+    Nodes.push_back(std::make_unique<NaiveLocalNode>(N, G, Views, HostObj));
   for (auto &Node : Nodes)
     Node->start();
+}
+
+void NaiveScenarioRunner::Host::multicast(NodeId From,
+                                          const graph::Region &To,
+                                          const core::Message &M) {
+  sim::Network::Frame Frame =
+      support::FrameRef::fresh(core::encodeMessage(M));
+  for (NodeId Recipient : To)
+    R.Net.send(From, Recipient, Frame);
+}
+
+void NaiveScenarioRunner::Host::monitorCrash(NodeId From,
+                                             const graph::Region &Targets) {
+  R.Detector.monitor(From, Targets);
+}
+
+void NaiveScenarioRunner::Host::decide(NodeId From, const graph::Region &View,
+                                       core::Value Chosen) {
+  R.Decisions.push_back(
+      trace::DecisionRecord{From, View, Chosen, R.Sim.now()});
+}
+
+core::Value NaiveScenarioRunner::Host::selectValue(NodeId From,
+                                                   const graph::Region &) {
+  return static_cast<core::Value>(From);
 }
 
 void NaiveScenarioRunner::scheduleCrash(NodeId Node, SimTime When) {

@@ -83,11 +83,25 @@ public:
   const graph::Graph &topology() const { return G; }
 
 private:
+  /// The runner's core::NodeHost: one object serves every node.
+  struct Host final : core::NodeHost {
+    explicit Host(NaiveScenarioRunner &R) : R(R) {}
+    void multicast(NodeId From, const graph::Region &To,
+                   const core::Message &M) override;
+    void monitorCrash(NodeId From, const graph::Region &Targets) override;
+    void decide(NodeId From, const graph::Region &View,
+                core::Value Chosen) override;
+    core::Value selectValue(NodeId From,
+                            const graph::Region &View) override;
+    NaiveScenarioRunner &R;
+  };
+
   const graph::Graph &G;
   core::ViewTable Views;
   sim::Simulator Sim;
   sim::Network Net;
   detector::PerfectFailureDetector Detector;
+  Host HostObj{*this};
   std::vector<std::unique_ptr<NaiveLocalNode>> Nodes;
   std::vector<trace::DecisionRecord> Decisions;
   graph::Region Faulty;

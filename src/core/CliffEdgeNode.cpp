@@ -70,59 +70,10 @@ NodeTables &NodeContext::allocateTables() {
   return *New;
 }
 
-//===----------------------------------------------------------------------===//
-// Legacy Callbacks wiring: a private context around an adapter host.
-//===----------------------------------------------------------------------===//
-
-struct CliffEdgeNode::CompatBundle {
-  struct CompatHost final : NodeHost {
-    explicit CompatHost(Callbacks InCBs) : CBs(std::move(InCBs)) {}
-    void multicast(NodeId, const graph::Region &To,
-                   const Message &M) override {
-      CBs.Multicast(To, M);
-    }
-    void monitorCrash(NodeId, const graph::Region &Targets) override {
-      CBs.MonitorCrash(Targets);
-    }
-    void decide(NodeId, const graph::Region &View, Value Chosen) override {
-      CBs.Decide(View, Chosen);
-    }
-    Value selectValue(NodeId, const graph::Region &View) override {
-      return CBs.SelectValue(View);
-    }
-    void onEvent(NodeId, const ProtocolEvent &E) override { CBs.OnEvent(E); }
-    bool wantsEvents() const override {
-      return static_cast<bool>(CBs.OnEvent);
-    }
-    Callbacks CBs;
-  };
-
-  CompatBundle(const graph::Graph &G, ViewTable &Views, Config Cfg,
-               Callbacks CBs)
-      : Host(std::move(CBs)), Ctx(G, Views, Cfg, Host) {}
-
-  CompatHost Host;
-  NodeContext Ctx;
-};
-
-CliffEdgeNode::CliffEdgeNode(NodeId InSelf, const graph::Graph &InG,
-                             ViewTable &InViews, Config InCfg,
-                             Callbacks InCBs)
-    : Self(InSelf), Ctx(nullptr),
-      Owned(new CompatBundle(InG, InViews, InCfg, std::move(InCBs))) {
-  assert(Owned->Host.CBs.Multicast && Owned->Host.CBs.MonitorCrash &&
-         Owned->Host.CBs.Decide && Owned->Host.CBs.SelectValue &&
-         "all callbacks must be provided");
-  Ctx = &Owned->Ctx;
-}
-
 CliffEdgeNode::CliffEdgeNode(NodeId InSelf, NodeContext &InCtx)
     : Self(InSelf), Ctx(&InCtx) {}
 
 CliffEdgeNode::CliffEdgeNode() = default;
-CliffEdgeNode::CliffEdgeNode(CliffEdgeNode &&) noexcept = default;
-CliffEdgeNode &CliffEdgeNode::operator=(CliffEdgeNode &&) noexcept = default;
-CliffEdgeNode::~CliffEdgeNode() = default;
 
 //===----------------------------------------------------------------------===//
 // Event handlers.

@@ -44,18 +44,16 @@
 /// large world almost every node only ever runs line 4 — so a node is
 /// split into a pointer-sized shell and its protocol tables. The shell
 /// (CliffEdgeNode itself, stored by value in the engines' paged node
-/// stores) is ~32 bytes: id, flags and two pointers. The tables
+/// stores) is 24 bytes: id, flags and two pointers. The tables
 /// (NodeTables) hold everything Algorithm 1 mutates and are slab-allocated
 /// from the shared NodeContext on the node's *first* crash observation or
 /// delivery. The engines bind and start() a shell on that same first
 /// touch, so a node the failure wave never reaches costs nothing beyond
 /// its share of a page it may never get (support/PagedStore.h). All
 /// per-domain scratch (outgoing message, monitor set, reject scan) lives
-/// once in the NodeContext instead of once per node. Engines share one
-/// context per single-threaded execution domain (the whole DES run; one
-/// per shard in the sharded engine). The legacy Callbacks constructor
-/// keeps working by allocating a private single-node context behind the
-/// scenes — existing harnesses and examples compile unchanged.
+/// once in the NodeContext instead of once per node. Every host shares
+/// one context per execution domain: the whole run of an engine or test
+/// harness, or one cliffedge-node daemon.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +69,6 @@
 #include "graph/Region.h"
 #include "support/FlatHash.h"
 
-#include <functional>
 #include <memory>
 #include <new>
 #include <vector>
@@ -123,9 +120,10 @@ struct NodeCounters {
 };
 
 /// Outgoing effects of a protocol node, implemented once per execution
-/// domain (engine, cluster, daemon). Every method receives the acting
-/// node's id, so one host object serves every node of its domain — the
-/// per-node layout carries no callback state at all.
+/// domain (engine, runner, daemon); the only way to host a node. Every
+/// method receives the acting node's id, so one host object serves every
+/// node of its domain — the per-node layout carries no callback state at
+/// all.
 class NodeHost {
 public:
   virtual ~NodeHost() = default;
@@ -157,19 +155,6 @@ public:
   /// Gates onEvent: hosts that do not record transitions keep the
   /// default false and the emit sites stay branch-only.
   virtual bool wantsEvents() const { return false; }
-};
-
-/// Legacy per-node callback bundle. New engine code implements NodeHost;
-/// this remains the convenient wiring for tests, examples and single-node
-/// deployments (the daemon), adapted internally by the compatibility
-/// constructor. All callbacks must be set except OnEvent, which is
-/// optional.
-struct Callbacks {
-  std::function<void(const graph::Region &To, const Message &M)> Multicast;
-  std::function<void(const graph::Region &Targets)> MonitorCrash;
-  std::function<void(const graph::Region &View, Value Chosen)> Decide;
-  std::function<Value(const graph::Region &View)> SelectValue;
-  std::function<void(const ProtocolEvent &E)> OnEvent;
 };
 
 /// The protocol tables of one node: everything Algorithm 1 mutates.
@@ -275,8 +260,7 @@ struct NodeTables {
 /// Everything a single-threaded execution domain shares across its nodes:
 /// the topology, the intern table, the node configuration, the host, the
 /// domain-wide scratch buffers, and the slab the protocol tables are
-/// carved from. The DES runner owns one; the sharded engine owns one per
-/// shard (nodes of one shard only ever run on that shard's thread).
+/// carved from. Each engine run, test harness or daemon owns one.
 class NodeContext {
 public:
   NodeContext(const graph::Graph &G, ViewTable &Views, Config Cfg,
@@ -308,7 +292,7 @@ private:
   std::vector<std::unique_ptr<Chunk>> Chunks;
 };
 
-/// One node's instance of the cliff-edge consensus protocol: a ~32-byte
+/// One node's instance of the cliff-edge consensus protocol: a 24-byte
 /// shell over slab-allocated NodeTables (see the memory-layout note in the
 /// file header). Movable, not copyable; engines store nodes by value.
 class CliffEdgeNode {
@@ -321,22 +305,12 @@ public:
   /// start()-state; it handles no events until replaced by a bound node.
   CliffEdgeNode();
 
-  /// Engine wiring: a node of a shared execution domain. The context must
-  /// outlive the node.
+  /// A node of a shared execution domain. The context must outlive the
+  /// node.
   CliffEdgeNode(NodeId Self, NodeContext &Ctx);
 
-  /// Legacy wiring: a self-contained node with per-node callbacks. Builds
-  /// a private context around an adapter host; costs one heap allocation
-  /// per node, which is fine for the tests, examples and the single-node
-  /// daemon that use it.
-  CliffEdgeNode(NodeId Self, const graph::Graph &G, ViewTable &Views,
-                Config Cfg, Callbacks CBs);
-
-  // Out of line: the defaulted members need the private CompatBundle
-  // complete.
-  CliffEdgeNode(CliffEdgeNode &&) noexcept;
-  CliffEdgeNode &operator=(CliffEdgeNode &&) noexcept;
-  ~CliffEdgeNode();
+  CliffEdgeNode(CliffEdgeNode &&) noexcept = default;
+  CliffEdgeNode &operator=(CliffEdgeNode &&) noexcept = default;
 
   /// The paper's <init> (lines 1-4): subscribes to the crashes of the
   /// node's own neighbours. Must be called exactly once before any event.
@@ -449,15 +423,10 @@ private:
   void emitEvent(EventKind Kind, const graph::Region &View,
                  uint32_t EventRound);
 
-  struct CompatBundle;
-
   NodeId Self = InvalidNode;
   bool Started = false;
   NodeContext *Ctx = nullptr; ///< The shared execution-domain context.
   NodeTables *T = nullptr;  ///< Lazily slab-allocated protocol tables.
-  /// Set only by the legacy constructor: the private context kept alive
-  /// for this node.
-  std::unique_ptr<CompatBundle> Owned;
 };
 
 } // namespace core

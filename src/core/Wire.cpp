@@ -18,8 +18,6 @@ using namespace cliffedge::core;
 namespace {
 
 constexpr uint32_t WireMagic = kWireMagic;
-constexpr uint8_t WireVersionV1 = 1;
-constexpr uint8_t WireVersionV2 = 2;
 constexpr uint8_t WireVersion = kWireVersion3;
 constexpr size_t HeaderSize = kWirePrefixSize; // magic, version, flags
 constexpr uint8_t FlagFinal = kWireFlagFinal;
@@ -104,14 +102,6 @@ public:
       V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
     return true;
   }
-  bool u64(uint64_t &V) {
-    if (Pos + 8 > Data.size())
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return true;
-  }
   bool varint(uint64_t &V) { return wireReadVarint(Data, Pos, V); }
   bool varint32(uint32_t &V) {
     uint64_t Wide = 0;
@@ -127,28 +117,6 @@ private:
   size_t Pos = 0;
 };
 
-bool readRegionV1(Reader &R, graph::Region &Out) {
-  uint32_t Count = 0;
-  if (!R.u32(Count))
-    return false;
-  std::vector<NodeId> Ids;
-  Ids.reserve(Count < MaxPrealloc ? Count : MaxPrealloc);
-  NodeId Prev = 0;
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t Id = 0;
-    if (!R.u32(Id))
-      return false;
-    // Enforce strictly increasing ids: rejects duplicates and unsorted
-    // input so Region invariants hold without re-sorting attacker bytes.
-    if (I > 0 && Id <= Prev)
-      return false;
-    Prev = Id;
-    Ids.push_back(Id);
-  }
-  Out = graph::Region(std::move(Ids));
-  return true;
-}
-
 /// Reads the \p Count delta-encoded ids of a region, handing the I-th to
 /// \p Visit(I, Id), which may refuse it by returning false.
 template <typename Fn>
@@ -158,8 +126,8 @@ bool readDeltaIds(Reader &R, uint32_t Count, Fn &&Visit) {
     uint64_t Delta = 0;
     if (!R.varint(Delta))
       return false;
-    // Deltas after the first id must be positive — strictly increasing ids
-    // by construction, same invariant v1 checks explicitly. Bounding the
+    // Deltas after the first id must be positive: strictly increasing ids
+    // by construction, so attacker bytes never need re-sorting. Bounding the
     // delta itself keeps Prev + Delta from wrapping uint64 into an
     // "increasing" id that never was.
     if ((I > 0 && Delta == 0) || Delta > UINT32_MAX)
@@ -211,50 +179,6 @@ bool readOpinions(Reader &R, size_t Count, OpinionVec &Out) {
     if (Out[I].Kind == Opinion::Accept && !R.varint(Out[I].Val))
       return false;
   }
-  return true;
-}
-
-bool decodeV1(Reader &R, uint8_t Flags, ViewTable &Views, Message &M) {
-  if (Flags & ~FlagFinal)
-    return false;
-  M.Final = (Flags & FlagFinal) != 0;
-  if (!R.u32(M.Round) || M.Round == 0)
-    return false;
-  graph::Region View, Border;
-  if (!readRegionV1(R, View) || !readRegionV1(R, Border))
-    return false;
-  if (View.empty() || Border.empty())
-    return false;
-
-  M.Opinions.reset(Border.size());
-  for (size_t I = 0; I < Border.size(); ++I) {
-    uint8_t Kind = 0;
-    if (!R.u8(Kind) || Kind > static_cast<uint8_t>(Opinion::Reject))
-      return false;
-    M.Opinions[I].Kind = static_cast<Opinion>(Kind);
-    if (M.Opinions[I].Kind == Opinion::Accept && !R.u64(M.Opinions[I].Val))
-      return false;
-  }
-  if (!R.atEnd())
-    return false;
-  M.setView(Views.intern(View, Border));
-  return true;
-}
-
-bool decodeV2(Reader &R, uint8_t Flags, ViewTable &Views, Message &M) {
-  if (Flags & ~FlagFinal)
-    return false;
-  M.Final = (Flags & FlagFinal) != 0;
-  if (!R.varint32(M.Round) || M.Round == 0)
-    return false;
-  graph::Region View, Border;
-  if (!readRegionDelta(R, View) || !readRegionDelta(R, Border))
-    return false;
-  if (View.empty() || Border.empty())
-    return false;
-  if (!readOpinions(R, Border.size(), M.Opinions) || !R.atEnd())
-    return false;
-  M.setView(Views.intern(View, Border));
   return true;
 }
 
@@ -369,58 +293,6 @@ std::vector<uint8_t> core::encodeMessage(const Message &M) {
   return Out;
 }
 
-std::vector<uint8_t> core::encodeMessageV2(const Message &M) {
-  assert(M.Opinions.size() == M.border().size() &&
-         "opinion vector must align with the border");
-  std::vector<uint8_t> Out(HeaderSize + varintSize(M.Round) +
-                           regionSizeDelta(M.view()) +
-                           regionSizeDelta(M.border()) +
-                           opinionsSize(M.Opinions));
-  uint8_t *P = Out.data();
-  putU32(P, WireMagic);
-  *P++ = WireVersionV2;
-  *P++ = M.Final ? FlagFinal : 0;
-  putVarint(P, M.Round);
-  putRegionDelta(P, M.view());
-  putRegionDelta(P, M.border());
-  putOpinions(P, M.Opinions);
-  assert(P == Out.data() + Out.size() && "size precomputation out of sync");
-  return Out;
-}
-
-std::vector<uint8_t> core::encodeMessageV1(const Message &M) {
-  const graph::Region &View = M.view();
-  const graph::Region &Border = M.border();
-  std::vector<uint8_t> Out;
-  Out.reserve(HeaderSize + 4 + 4 * (2 + View.size() + Border.size()) +
-              9 * M.Opinions.size());
-  auto U8 = [&Out](uint8_t V) { Out.push_back(V); };
-  auto U32 = [&Out](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  };
-  auto U64 = [&Out](uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  };
-  U32(WireMagic);
-  U8(WireVersionV1);
-  U8(M.Final ? FlagFinal : 0);
-  U32(M.Round);
-  for (const graph::Region *R : {&View, &Border}) {
-    U32(static_cast<uint32_t>(R->size()));
-    for (NodeId N : *R)
-      U32(N);
-  }
-  for (size_t I = 0; I < M.Opinions.size(); ++I) {
-    const OpinionEntry &E = M.Opinions[I];
-    U8(static_cast<uint8_t>(E.Kind));
-    if (E.Kind == Opinion::Accept)
-      U64(E.Val);
-  }
-  return Out;
-}
-
 bool core::decodeMessageSelfContained(const std::vector<uint8_t> &Bytes,
                                       ViewTable &Views, Message &Out) {
   Reader R(Bytes);
@@ -461,15 +333,9 @@ bool core::decodeMessageInto(const std::vector<uint8_t> &Bytes,
   uint8_t Version = 0, Flags = 0;
   if (!R.u32(Magic) || Magic != WireMagic)
     return false;
-  if (!R.u8(Version) || !R.u8(Flags))
+  if (!R.u8(Version) || !R.u8(Flags) || Version != WireVersion)
     return false;
-  if (Version == WireVersion)
-    return decodeV3(R, Flags, Views, Out);
-  if (Version == WireVersionV2)
-    return decodeV2(R, Flags, Views, Out);
-  if (Version == WireVersionV1)
-    return decodeV1(R, Flags, Views, Out);
-  return false;
+  return decodeV3(R, Flags, Views, Out);
 }
 
 std::optional<Message> core::decodeMessage(const std::vector<uint8_t> &Bytes,
@@ -492,16 +358,6 @@ void core::decodeOwnFrame(NodeId From, const std::vector<uint8_t> &Bytes,
 }
 
 void WireEncoder::encode(const Message &M, std::vector<uint8_t> &Out) {
-  switch (Version) {
-  case WireVersionV1:
-    Out = encodeMessageV1(M);
-    return;
-  case WireVersionV2:
-    Out = encodeMessageV2(M);
-    return;
-  default:
-    break;
-  }
   assert(M.Id != InvalidViewId && "message has no interned view");
   if (M.Id >= Announced.size())
     Announced.resize(M.Id + 1, 0);

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compact binary wire format for protocol messages, shared by the
-/// simulated network and the threaded runtime. Serialising for real keeps
-/// the byte accounting of the locality benches honest and lets both
-/// transports carry the same frames.
+/// The one binary wire format for protocol messages, shared by every
+/// transport: the DES network, the sharded engine and the proc runtime.
+/// Serialising for real keeps the byte accounting of the locality benches
+/// honest and lets all transports carry the same frames.
 ///
-/// Version 3 layout (current; "varint" is LEB128):
+/// Layout (version 3, the only one; "varint" is LEB128):
 ///   u32 magic 'CLEC' (little-endian)   u8 version = 3
 ///   u8 flags (bit0 = Final, bit1 = Announce, bit2 = Channel, bit3 = PureAck)
 ///   [Channel only] varint seq   varint cumulative-ack   (ends PureAck frames)
@@ -47,19 +47,9 @@
 /// without piggybacking on data) and is never a protocol message: the
 /// decoders reject it, transports consume it below the decode layer.
 ///
-/// Version 2 layout (legacy, still decoded):
-///   u32 magic   u8 version = 2   u8 flags(bit0 = Final)
-///   varint round
-///   varint |V|   varint V[0], varint V[i]-V[i-1]...
-///   varint |B|   varint B[0], varint B[i]-B[i-1]...
-///   per B member: u8 opinion kind, varint value (Accept only)
-///
-/// Version 1 layout (legacy, still decoded; all integers little-endian):
-///   u32 magic   u8 version = 1   u8 flags(bit0 = Final)
-///   u32 round
-///   u32 |V|   u32 V ids...
-///   u32 |B|   u32 B ids...
-///   per B member: u8 opinion kind, u64 value (Accept only)
+/// Frames of any other version (the retired v1 and v2 layouts included)
+/// are malformed input: nothing persists frames, so no decoder needs to
+/// read an older layout.
 ///
 /// Every encoder precomputes the exact frame size and fills a single
 /// buffer; the *Into variants reuse the caller's storage so steady-state
@@ -105,25 +95,17 @@ bool wireReadVarint(const std::vector<uint8_t> &Bytes, size_t &Pos,
 /// WireEncoder instead, which elides the payload after first sight.
 std::vector<uint8_t> encodeMessage(const Message &M);
 
-/// Serialises \p M in the legacy v2 layout (full regions every frame).
-/// Kept for compat tests and the differential wire-version runs.
-std::vector<uint8_t> encodeMessageV2(const Message &M);
-
-/// Serialises \p M in the legacy v1 layout. Kept for backward-compat tests
-/// and for measuring the size win of the newer layouts.
-std::vector<uint8_t> encodeMessageV1(const Message &M);
-
 /// v3 frame into \p Out (cleared and reused, allocation-free once warm).
 /// \p WithAnnounce selects whether the region payload rides along.
 void encodeMessageV3Into(const Message &M, bool WithAnnounce,
                          std::vector<uint8_t> &Out);
 
-/// Parses any supported frame version. Region payloads (v1/v2 frames, v3
-/// announces) are interned into \p Views; id-only v3 frames resolve
-/// against it. Returns std::nullopt on any malformed input (wrong
-/// magic/version, truncation, unsorted sets, bad opinion kinds, unknown or
-/// conflicting view ids) — the transport is trusted, but the decoder still
-/// refuses garbage rather than asserting, so fuzz-style tests can probe it.
+/// Parses a v3 frame. Announce payloads are interned into \p Views;
+/// id-only frames resolve against it. Returns std::nullopt on any
+/// malformed input (wrong magic or version, truncation, unsorted sets,
+/// bad opinion kinds, unknown or conflicting view ids) — the transport is
+/// trusted, but the decoder still refuses garbage rather than asserting,
+/// so fuzz-style tests can probe it.
 std::optional<Message> decodeMessage(const std::vector<uint8_t> &Bytes,
                                      ViewTable &Views);
 
@@ -156,18 +138,13 @@ bool decodeMessageSelfContained(const std::vector<uint8_t> &Bytes,
 
 /// Per-sender encoder: remembers which views this sender has announced so
 /// every later frame for them is id-only. One instance per protocol node
-/// per run (ids are run-wide, announce state is per sender). A wire
-/// version of 2 or 1 forces the corresponding legacy layout on every frame
-/// — the differential engine tests pin v3 results against that baseline.
+/// per run (ids are run-wide, announce state is per sender).
 class WireEncoder {
 public:
-  explicit WireEncoder(uint8_t Version = 3) : Version(Version) {}
-
   /// Encodes \p M into \p Out (cleared and reused).
   void encode(const Message &M, std::vector<uint8_t> &Out);
 
 private:
-  uint8_t Version;
   std::vector<uint8_t> Announced; ///< Indexed by ViewId; grows on announce.
 };
 

@@ -17,7 +17,7 @@
 ///    interleaving source;
 ///  * ShardedEngine (engine/ShardedEngine.h) partitions the nodes over N
 ///    shards on one run-wide event calendar, runs each round's busy shards
-///    in parallel and merges their cross-shard output in a seeded
+///    in shard order and merges their cross-shard output in a seeded
 ///    deterministic order, so every run replays.
 ///
 /// Running both backends on the same (spec, seed) and comparing CD1..CD7
@@ -58,15 +58,16 @@ const char *backendName(BackendKind K);
 bool parseBackendName(const std::string &Tok, BackendKind &Out,
                       std::string &Error);
 
-/// Execution parameters that do not change a run's outcome — the sharded
-/// engine's deterministic merge makes results independent of Workers, so
-/// these are tuning knobs, not spec semantics.
+/// Execution parameters of an engine, outside the spec. Every engine runs
+/// on the calling thread.
 struct EngineOptions {
-  /// Worker threads driving shard rounds (ShardedEngine only). 1 runs the
-  /// shards inline on the calling thread.
+  /// Ignored: no engine reads it. Kept only because the frozen perfbench
+  /// harness (perfbench/src/Workload.cpp) still assigns it; delete it
+  /// together with that assignment.
   unsigned Workers = 1;
 
-  /// Logical shard count. Fixed by default (not hardware-derived) so a
+  /// Logical shard count (ShardedEngine only). Part of the replay key: the
+  /// shards order the merge. Fixed by default (not hardware-derived) so a
   /// (spec, seed) pair replays identically on any machine; 0 picks the
   /// default of 32 (capped at the node count).
   uint32_t Shards = 0;

@@ -12,26 +12,23 @@
 // materializes on the first write to one of its nodes, so a job pays for
 // the nodes its failures touch, not for the world. Pending events of all
 // shards share one run-wide calendar (engine/EventQueue.h) of plain-struct
-// events. A run alternates two phases:
+// events. The whole run is single-threaded; the shards exist because they
+// fix the merge order, and with it the replay. A run alternates two
+// phases:
 //
 //  * process: the calendar hands over every event carrying the earliest
 //    timestamp T, sorted by (shard, tie-break key, sequence), so each shard
 //    with work — a *busy* shard — owns one contiguous slice of the round
-//    and drains it in (key, sequence) order. The phase parallelises over
-//    Workers threads: shard s belongs to worker s % Workers, which takes
-//    the slices of its shards in ascending order. Handlers only touch the
-//    owning shard's nodes and append outputs (messages, detector
-//    subscriptions, executed crashes, decisions) to their worker's one
-//    outbox set, each slice recording where its output begins and ends,
-//    so shards are data-race free by construction. Idle shards cost
-//    nothing.
+//    and drains it in (key, sequence) order, busy shards in ascending
+//    order. Handlers only touch the acting node's state and append outputs
+//    (messages, detector subscriptions, executed crashes, decisions) to
+//    the run's one outbox. Nothing a handler emits takes effect before the
+//    merge, so events of one round never see each other's outputs. Idle
+//    shards cost nothing.
 //
-//  * merge (serial): the busy slices' outputs are drained in
-//    deterministic order — ascending shard, production order within a
-//    shard. Consecutive slices of one worker are one contiguous range of
-//    its outbox, so with one worker each output kind is a single linear
-//    pass; any worker count yields the same order. Crashes notify
-//    subscribed watchers, subscriptions to
+//  * merge: the outbox is drained in production order — ascending shard,
+//    event order within a shard — one linear pass per output kind.
+//    Crashes notify subscribed watchers, subscriptions to
 //    already-crashed targets notify immediately (the exactly-once
 //    discipline of detector::PerfectFailureDetector), and each multicast
 //    frame is decoded once, into the message attached to its pooled
@@ -49,12 +46,12 @@
 //
 // Fault plane (RunnerOptions::Link active)
 // ----------------------------------------
-// The net:: layers slot into the phase structure without new locks:
+// The net:: layers slot into the phase structure:
 //
 //  * every *send-side* channel state (sequence windows, retransmit
-//    timers, link fate draws) is touched only at the serial merge —
-//    workers stage ack arrivals into their outboxes instead of acting on
-//    them, and retransmit timers never reach the workers at all: a timer
+//    timers, link fate draws) is touched only at the merge — handlers
+//    stage ack arrivals into the outbox instead of acting on them, and
+//    retransmit timers never reach the calendar at all: a timer
 //    armed at merge time T is due at T + Rto (fixed per run), so armed
 //    timers form a merge-side FIFO in due order. A round runs at the
 //    earlier of the calendar's next timestamp and the first due timer,
@@ -62,7 +59,7 @@
 //    order — the key and sequence drawn at arm time exactly as for a
 //    calendar event — and count as processed events;
 //  * every *receive-side* state (dedup, reorder buffers) lives in the
-//    recipient's shard and is touched only by that shard's worker.
+//    recipient's shard and is touched only by that shard's handlers.
 //
 // Channel state is flat and index-addressed. A directed channel gets a
 // dense id at its first send (one channelKey -> id map, probed only by the
@@ -74,7 +71,7 @@
 // the crashed node's channels.
 //
 // All link-model draws happen in deterministic merge order, so lossy runs
-// replay bit-for-bit at any worker count, exactly like zero-loss ones.
+// replay bit-for-bit, exactly like zero-loss ones.
 // Wrapped frame bytes are never materialised: the merge decodes each
 // multicast payload once as usual and carries (seq, ack) in the event
 // record, accounting the wire v3 channel-extension size arithmetically.
@@ -98,11 +95,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <thread>
 
 using namespace cliffedge;
 using namespace cliffedge::engine;
@@ -110,10 +104,10 @@ using namespace cliffedge::engine;
 namespace {
 
 /// Default logical shard count. Fixed (not hardware-derived) so replays are
-/// machine-independent; Workers only decides how many threads drive them.
+/// machine-independent.
 constexpr uint32_t DefaultShards = 32;
 
-/// One outgoing unicast leg of a multicast, staged in a worker outbox.
+/// One outgoing unicast leg of a multicast, staged in the outbox.
 struct OutMsg {
   NodeId From;
   NodeId To;
@@ -121,8 +115,8 @@ struct OutMsg {
   support::FrameRef Frame;
 };
 
-/// One (watcher, target) pair of a <monitorCrash|Targets>, staged in a
-/// worker outbox in production order.
+/// One (watcher, target) pair of a <monitorCrash|Targets>, staged in the
+/// outbox in production order.
 struct OutSub {
   NodeId Watcher;
   NodeId Target;
@@ -144,7 +138,7 @@ struct Leg {
 
 using RecvHalf = net::ReliableChannelRecv<Leg>;
 
-/// One cumulative-ack observation staged by a worker. A piggybacked ack
+/// One cumulative-ack observation staged by a handler. A piggybacked ack
 /// rode a data frame of \c Chan and retires the reverse channel's window;
 /// a pure ack retires \c Chan's own.
 struct OutAckSeen {
@@ -206,12 +200,11 @@ struct WindowEntry {
 struct NodeSlot {
   /// Unbound until the node's first event; then bound and started.
   core::CliffEdgeNode Node;
-  /// Announce-once wire state. A node's multicasts all happen on its
-  /// owning shard's thread.
+  /// Announce-once wire state.
   core::WireEncoder Encoder;
   /// The plan's crash time (TimeNever for correct nodes).
   SimTime CrashTime = TimeNever;
-  /// Set by the owning shard when the node's CrashExec fires.
+  /// Set when the node's CrashExec fires.
   bool Dead = false;
   /// Head of the node's channel list (fault plane; merge-only).
   uint32_t Channels = NoChannel;
@@ -219,13 +212,11 @@ struct NodeSlot {
 
 /// Per-shard state: owned nodes and their receive-side channel state.
 struct Shard {
-  /// The shard's nodes, indexed by NodeId / NumShards. Shard-private, so
-  /// pages materialize without synchronization: during a round only the
-  /// owning worker writes it, and the merge (serial) only reads it.
+  /// The shard's nodes, indexed by NodeId / NumShards.
   support::PagedStore<NodeSlot> Slots;
   /// Receive halves of every channel whose recipient this shard owns,
   /// indexed by Channel::RecvSlot. Appended by the merge; during rounds
-  /// only this shard's worker touches them, and the merge reads
+  /// only this shard's handlers touch them, and the merge reads
   /// cumulative counters (piggyback acks) between rounds.
   std::vector<RecvHalf> Recv;
   std::vector<Leg> Released;   ///< accept() scratch.
@@ -234,16 +225,9 @@ struct Shard {
   uint64_t Dropped = 0;
 };
 
-/// Sizes of one outbox's queues: where a slice's output begins or ends.
-struct OutMark {
-  uint32_t Crashed = 0, Subs = 0, AcksSeen = 0, AcksOwed = 0, Msgs = 0,
-           Decisions = 0;
-};
-
-/// One worker's outputs of a round. The worker appends each busy slice's
-/// output in the order it processes its slices (ascending shard), and the
-/// slice records where that output begins and ends; the merge drains the
-/// queues and clears them.
+/// The outputs of a round, appended in processing order (ascending shard,
+/// event order within a shard); the merge drains the queues in that order
+/// and clears them.
 struct Outbox {
   std::vector<NodeId> Crashed;
   std::vector<OutSub> Subs;
@@ -253,11 +237,6 @@ struct Outbox {
   std::vector<OutMsg> Msgs;
   std::vector<trace::DecisionRecord> Decisions;
 
-  OutMark mark() const {
-    auto Size = [](const auto &V) { return static_cast<uint32_t>(V.size()); };
-    return OutMark{Size(Crashed),  Size(Subs), Size(AcksSeen),
-                   Size(AcksOwed), Size(Msgs), Size(Decisions)};
-  }
   void clear() {
     Crashed.clear();
     Subs.clear();
@@ -268,23 +247,18 @@ struct Outbox {
   }
 };
 
-/// A busy shard's events within the drained round, and the range of its
-/// worker's outbox its processing filled.
+/// A busy shard's events within the drained round.
 struct ShardSlice {
   uint32_t Shard;
-  uint32_t Worker;
   uint32_t Begin;
   uint32_t End;
-  OutMark OutBegin, OutEnd;
 };
 
 struct RunState;
 
 /// The engine's core::NodeHost: one stateless object serves every node of
 /// every shard. Each effect arrives tagged with the acting node's id and
-/// lands in the outbox of the worker owning that node's shard, the only
-/// thread that runs the node's events — so concurrent workers never touch
-/// the same outbox through this host.
+/// lands in the run's outbox.
 struct ShardHost final : core::NodeHost {
   explicit ShardHost(RunState &R) : R(R) {}
   void multicast(NodeId From, const graph::Region &To,
@@ -296,7 +270,7 @@ struct ShardHost final : core::NodeHost {
   RunState &R;
 };
 
-/// Whole-run state shared by the coordinator and the shard workers.
+/// Whole-run state.
 struct RunState {
   const graph::Graph &G;
   const trace::RunnerOptions &Opts;
@@ -306,29 +280,23 @@ struct RunState {
   /// Computation", 2019), exact for every 32-bit node id, so the per-event
   /// node lookups pay no hardware divide.
   unsigned __int128 ShardMagic;
-  /// Run-wide view intern table: nodes intern concurrently from worker
-  /// threads (mutexed, first-sight only), the merge's decode resolves
-  /// ids lock-free.
+  /// Run-wide view intern table: handlers intern views in event order,
+  /// so view ids — and the varint sizes of id-only frames — replay.
   core::ViewTable Views;
-  /// Frame recyclers, one per shard: workers acquire for their shard's
-  /// multicasts in parallel during the process phase. Declared before
-  /// everything that holds frames, so every frame is released before its
-  /// pool goes away.
-  std::vector<support::FramePool> Frames;
+  /// Frame recycler for every multicast. Declared before everything that
+  /// holds frames, so every frame is released before the pool goes away.
+  support::FramePool Frames;
   std::vector<Shard> Shards;
-  /// Threads driving the shards: shard s belongs to worker s % Workers.
-  uint32_t Workers;
-  std::vector<Outbox> Outboxes; ///< One per worker.
+  Outbox Out;
   ShardHost Host;
-  /// One execution domain per shard: a NodeContext's scratch buffers and
-  /// NodeTables slab are single-threaded state, and a shard's nodes all
-  /// run on one worker. unique_ptr because contexts are pinned (no moves).
-  std::vector<std::unique_ptr<core::NodeContext>> Ctxs;
+  /// The run's one execution domain: every node binds to it on first
+  /// touch. Declared after Views and Host, which it refers to.
+  core::NodeContext Ctx;
 
   /// Every pending event of every shard.
   EventQueue Calendar;
-  /// The round being processed: drained from the calendar by the
-  /// coordinator, one contiguous slice per busy shard.
+  /// The round being processed, drained from the calendar: one
+  /// contiguous slice per busy shard.
   std::vector<Event> Round;
   std::vector<ShardSlice> Busy; ///< Ascending by shard.
   SimTime Now = 0;              ///< Timestamp of the round being processed.
@@ -338,7 +306,7 @@ struct RunState {
   size_t TimerHead = 0;
   size_t DueEnd = 0;
 
-  // Merge-side (serial) state.
+  // Merge-side state.
   SplitMix64 MergeRng;
   uint64_t TieSeed; ///< Channel tie-key seed, fixed for the whole run.
   uint64_t NextSeq = 0;
@@ -365,12 +333,11 @@ struct RunState {
   net::ChannelStats ChanStats; ///< Send-side counters.
 
   RunState(const graph::Graph &InG, const trace::RunnerOptions &InOpts,
-           uint32_t InShards, uint32_t InWorkers, uint64_t Seed)
+           uint32_t InShards, uint64_t Seed)
       : G(InG), Opts(InOpts), NumShards(InShards),
         ShardMagic((((unsigned __int128)1 << 64) + InShards - 1) / InShards),
-        Views(InG, InOpts.NodeConfig.Ranking), Frames(InShards),
-        Shards(InShards), Workers(InWorkers), Outboxes(InWorkers),
-        Host(*this),
+        Views(InG, InOpts.NodeConfig.Ranking), Shards(InShards),
+        Host(*this), Ctx(InG, Views, InOpts.NodeConfig, Host),
         MergeRng(Seed ^ 0x5368617264456e67ULL /* "ShardEng" */),
         TieSeed(SplitMix64(Seed ^ 0x4669666f54696523ULL).next()),
         Regs(InG),
@@ -407,15 +374,11 @@ struct RunState {
     return static_cast<uint32_t>((ShardMagic * N) >> 64);
   }
 
-  /// The outbox of the worker that runs \p N's events.
-  Outbox &outboxOf(NodeId N) { return Outboxes[shardOf(N) % Workers]; }
-
   /// Read-only view of \p N's slot (pristine when never written).
   const NodeSlot &slot(NodeId N) const {
     return Shards[shardOf(N)].Slots[indexInShard(N)];
   }
-  /// Writable slot of \p N. Only the owning shard's worker during a
-  /// round, or the serial coordinator outside rounds, may call this.
+  /// Writable slot of \p N (materializes its page).
   NodeSlot &slotMut(NodeId N) {
     return Shards[shardOf(N)].Slots.mut(indexInShard(N));
   }
@@ -426,8 +389,7 @@ struct RunState {
   core::CliffEdgeNode &liveNode(NodeId N) {
     NodeSlot &S = slotMut(N);
     if (!S.Node.started()) {
-      S.Node = core::CliffEdgeNode(N, *Ctxs[shardOf(N)]);
-      S.Encoder = core::WireEncoder(Opts.WireVersion);
+      S.Node = core::CliffEdgeNode(N, Ctx);
       S.Node.start();
     }
     return S.Node;
@@ -480,8 +442,7 @@ struct RunState {
     uint32_t Size = static_cast<uint32_t>(Round.size());
     for (uint32_t I = 0; I < Size; ++I)
       if (Busy.empty() || Busy.back().Shard != Round[I].Shard)
-        Busy.push_back(ShardSlice{Round[I].Shard, Round[I].Shard % Workers,
-                                  I, I + 1, OutMark(), OutMark()});
+        Busy.push_back(ShardSlice{Round[I].Shard, I, I + 1});
       else
         Busy.back().End = I + 1;
     for (DueEnd = TimerHead;
@@ -498,27 +459,7 @@ struct RunState {
     return Size + (DueEnd - TimerHead);
   }
 
-  /// Calls \p F on every \p Kind entry the round's busy slices produced,
-  /// in ascending shard order (production order within a slice).
-  /// Consecutive slices of one worker fill one contiguous range of its
-  /// outbox and are walked as one, so with one worker each kind is a
-  /// single linear pass.
-  template <typename T, typename FnT>
-  void forEachOut(std::vector<T> Outbox::*Kind, uint32_t OutMark::*Mark,
-                  FnT &&F) {
-    for (size_t I = 0; I < Busy.size();) {
-      uint32_t W = Busy[I].Worker;
-      uint32_t Begin = Busy[I].OutBegin.*Mark;
-      uint32_t End = Busy[I].OutEnd.*Mark;
-      while (++I < Busy.size() && Busy[I].Worker == W)
-        End = Busy[I].OutEnd.*Mark;
-      std::vector<T> &Out = Outboxes[W].*Kind;
-      for (uint32_t J = Begin; J < End; ++J)
-        F(Out[J]);
-    }
-  }
-
-  void processShard(ShardSlice &Slice);
+  void processShard(const ShardSlice &Slice);
   void merge(SimTime T);
   /// Sends one multicast leg whose frame decodes to \p Msg: accounting,
   /// then the channel sublayer or the FIFO clamp, then the calendar.
@@ -726,26 +667,23 @@ struct RunState {
 
 void ShardHost::multicast(NodeId From, const graph::Region &To,
                           const core::Message &M) {
-  // Encode once into a pooled shard-local buffer; recipients share the
-  // frame (and, after the merge's single decode, its attached message).
-  uint32_t S = R.shardOf(From);
-  support::FrameRef Frame = R.Frames[S].acquire();
+  // Encode once into a pooled buffer; recipients share the frame (and,
+  // after the merge's single decode, its attached message).
+  support::FrameRef Frame = R.Frames.acquire();
   R.slotMut(From).Encoder.encode(M, Frame.mutableBytes());
-  std::vector<OutMsg> &Out = R.outboxOf(From).Msgs;
   for (NodeId Recipient : To)
-    Out.push_back(OutMsg{From, Recipient, Frame});
+    R.Out.Msgs.push_back(OutMsg{From, Recipient, Frame});
 }
 
 void ShardHost::monitorCrash(NodeId From, const graph::Region &Targets) {
-  std::vector<OutSub> &Out = R.outboxOf(From).Subs;
   for (NodeId Target : Targets)
     if (Target != From) // A node does not monitor itself.
-      Out.push_back(OutSub{From, Target});
+      R.Out.Subs.push_back(OutSub{From, Target});
 }
 
 void ShardHost::decide(NodeId From, const graph::Region &View,
                        core::Value Chosen) {
-  R.outboxOf(From).Decisions.push_back(
+  R.Out.Decisions.push_back(
       trace::DecisionRecord{From, View, Chosen, R.Now});
 }
 
@@ -753,10 +691,8 @@ core::Value ShardHost::selectValue(NodeId From, const graph::Region &View) {
   return R.Opts.SelectValue(From, View);
 }
 
-void RunState::processShard(ShardSlice &Slice) {
+void RunState::processShard(const ShardSlice &Slice) {
   Shard &Sh = Shards[Slice.Shard];
-  Outbox &Out = Outboxes[Slice.Worker];
-  Slice.OutBegin = Out.mark();
   for (uint32_t I = Slice.Begin; I < Slice.End; ++I) {
     Event &E = Round[I];
     switch (E.K) {
@@ -827,7 +763,6 @@ void RunState::processShard(ShardSlice &Slice) {
       break;
     }
   }
-  Slice.OutEnd = Out.mark();
 }
 
 void RunState::scheduleNotice(NodeId Watcher, NodeId Target, SimTime T) {
@@ -845,38 +780,34 @@ void RunState::merge(SimTime T) {
   // finished.
   auto CrashExecuted = [&](NodeId N) { return slot(N).CrashTime <= T; };
 
-  // Only busy shards produced output, walked in ascending shard order,
-  // exactly as a walk over all shards would.
-
   // Crashes first, then subscriptions: a watcher subscribing in the same
   // round a target died is notified by the subscription path (the crash
   // path runs before the watcher is registered), never by both.
-  forEachOut(&Outbox::Crashed, &OutMark::Crashed, [&](NodeId Crashed) {
+  for (NodeId Crashed : Out.Crashed) {
     Regs.forEachWatcher(Crashed,
                         [&](NodeId W) { scheduleNotice(W, Crashed, T); });
     if (PlaneOn && Arq)
       purgeChannels(Crashed);
-  });
+  }
 
-  forEachOut(&Outbox::Subs, &OutMark::Subs, [&](const OutSub &Sub) {
+  for (const OutSub &Sub : Out.Subs)
     // A repeat subscription is dropped: at-most-once semantics.
     if (Regs.subscribe(Sub.Watcher, Sub.Target) &&
         CrashExecuted(Sub.Target))
       scheduleNotice(Sub.Watcher, Sub.Target, T);
-  });
 
   // Fault-plane bookkeeping between the rounds: acks retire windows
   // first (so a frame acked this round is not also retransmitted this
   // round), then due timers re-send what is still outstanding, then
   // receivers' owed pure acks enter the link.
   if (PlaneOn && Arq) {
-    forEachOut(&Outbox::AcksSeen, &OutMark::AcksSeen, [&](OutAckSeen &A) {
+    for (const OutAckSeen &A : Out.AcksSeen) {
       uint32_t C = A.Piggyback ? Chans[A.Chan].Reverse : A.Chan;
       if (C != NoChannel)
         onAck(C, A.Cum);
-    });
+    }
     runDueTimers(T);
-    forEachOut(&Outbox::AcksOwed, &OutMark::AcksOwed, [&](OutAckSend &A) {
+    for (const OutAckSend &A : Out.AcksOwed) {
       const Channel &Ch = Chans[A.Chan];
       ++ChanStats.AcksSent;
       ChanStats.AckBytes += net::pureAckSize(A.Cum);
@@ -887,7 +818,7 @@ void RunState::merge(SimTime T) {
       E.Chan = A.Chan;
       E.ChanAck = A.Cum;
       linkSchedule(std::move(E), Ch.AckStream, T);
-    });
+    }
   }
 
   // Batched message delivery: one decode per frame, into the message
@@ -895,7 +826,7 @@ void RunState::merge(SimTime T) {
   // clamping per directed channel as in sim::Network.
   const support::FrameBuf *LastFrame = nullptr;
   const core::Message *Decoded = nullptr;
-  forEachOut(&Outbox::Msgs, &OutMark::Msgs, [&](OutMsg &M) {
+  for (OutMsg &M : Out.Msgs) {
     if (M.Frame.get() != LastFrame) {
       // Legs of one multicast are contiguous in the outbox (frames are
       // pool-recycled only after their last leg releases, and every
@@ -909,16 +840,14 @@ void RunState::merge(SimTime T) {
       LastFrame = M.Frame.get();
     }
     sendLeg(M, Decoded, T);
-  });
+  }
 
-  forEachOut(&Outbox::Decisions, &OutMark::Decisions,
-             [&](trace::DecisionRecord &D) {
-               if (Opts.StreamingCheck)
-                 Opts.StreamingCheck->onDecision(D);
-               Result.Decisions.push_back(std::move(D));
-             });
-  for (Outbox &Out : Outboxes)
-    Out.clear();
+  for (trace::DecisionRecord &D : Out.Decisions) {
+    if (Opts.StreamingCheck)
+      Opts.StreamingCheck->onDecision(D);
+    Result.Decisions.push_back(std::move(D));
+  }
+  Out.clear();
 }
 
 void RunState::sendLeg(OutMsg &M, const core::Message *Msg, SimTime T) {
@@ -1009,21 +938,9 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   NumShards = std::min<uint32_t>(std::max<uint32_t>(NumShards, 1),
                                  std::max<uint32_t>(G.numNodes(), 1));
 
-  unsigned Workers = std::max(1u, Opts.Workers);
-  Workers = std::min<unsigned>(Workers, NumShards);
-
-  RunState Run(G, Options, NumShards, Workers, Job.Seed);
+  RunState Run(G, Options, NumShards, Job.Seed);
   Run.Result.Stats.SentByNode = sim::SendCounts(G.numNodes());
   Run.Result.CrashTimes.assign(G.numNodes(), TimeNever);
-
-  // Per-shard execution domains; nodes bind to their shard's context on
-  // first touch, effects route through the shared ShardHost into worker
-  // outboxes.
-  Run.Ctxs.reserve(NumShards);
-  for (uint32_t S = 0; S < NumShards; ++S)
-    Run.Ctxs.emplace_back(new core::NodeContext(G, Run.Views,
-                                                Options.NodeConfig,
-                                                Run.Host));
 
   // Crash plan: known up front, scheduled before anything runs. A node
   // outside the topology or named twice is a malformed plan; it would
@@ -1064,79 +981,15 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   uint64_t TotalProcessed = 0;
   bool Quiesced = true;
 
-  if (Workers <= 1) {
-    while (Run.pending()) {
-      if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
-        Quiesced = false;
-        break;
-      }
-      TotalProcessed += Run.beginRound();
-      for (ShardSlice &B : Run.Busy)
-        Run.processShard(B);
-      Run.merge(Run.Now);
+  while (Run.pending()) {
+    if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
+      Quiesced = false;
+      break;
     }
-  } else {
-    // Persistent worker team, generation-stepped: the coordinator drains
-    // a round and publishes it, workers process the slices of their
-    // shards (shard s belongs to worker s % Workers), the coordinator
-    // merges after the barrier.
-    std::mutex Mu;
-    std::condition_variable StartCv, DoneCv;
-    uint64_t Generation = 0;
-    unsigned Remaining = 0;
-    bool Stop = false;
-
-    std::vector<std::thread> Team;
-    Team.reserve(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      Team.emplace_back([&, W] {
-        uint64_t Seen = 0;
-        for (;;) {
-          {
-            std::unique_lock<std::mutex> Lock(Mu);
-            StartCv.wait(Lock,
-                         [&] { return Stop || Generation != Seen; });
-            if (Stop)
-              return;
-            Seen = Generation;
-          }
-          for (ShardSlice &B : Run.Busy)
-            if (B.Worker == W)
-              Run.processShard(B);
-          {
-            std::lock_guard<std::mutex> Lock(Mu);
-            if (--Remaining == 0)
-              DoneCv.notify_one();
-          }
-        }
-      });
-
-    while (Run.pending()) {
-      if (Options.MaxEvents && TotalProcessed >= Options.MaxEvents) {
-        Quiesced = false;
-        break;
-      }
-      TotalProcessed += Run.beginRound();
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        Remaining = Workers;
-        ++Generation;
-      }
-      StartCv.notify_all();
-      {
-        std::unique_lock<std::mutex> Lock(Mu);
-        DoneCv.wait(Lock, [&] { return Remaining == 0; });
-      }
-      Run.merge(Run.Now);
-    }
-
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Stop = true;
-    }
-    StartCv.notify_all();
-    for (std::thread &Th : Team)
-      Th.join();
+    TotalProcessed += Run.beginRound();
+    for (const ShardSlice &B : Run.Busy)
+      Run.processShard(B);
+    Run.merge(Run.Now);
   }
 
   // Budget semantics must match DES even though rounds are coarser than

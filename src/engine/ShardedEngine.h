@@ -6,17 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sharded execution backend, grown out of runtime::ThreadedCluster's
-/// node-per-thread demo into a first-class engine:
+/// A sharded execution backend, the DES backend's replayable twin with a
+/// different interleaving:
 ///
 ///  * nodes are partitioned over a fixed number of logical shards whose
 ///    events share one run-wide calendar of per-tick buckets — no global
 ///    heap, no per-event closure allocation (events are plain structs);
 ///  * execution is round-based: all events of the globally earliest
-///    timestamp run in parallel across shards (handlers of distinct nodes
-///    at one instant commute — they only touch per-node state and emit
-///    outputs into their worker's outbox);
-///  * between rounds a serial deterministic merge applies the outputs:
+///    timestamp run shard by shard (handlers of distinct nodes at one
+///    instant commute — they only touch per-node state and emit outputs
+///    into the run's outbox);
+///  * between rounds a deterministic merge applies the outputs:
 ///    cross-shard messages are delivered in batches (each multicast frame
 ///    is encoded and decoded once, then shared by every recipient),
 ///    failure-detector subscriptions and crash notifications are resolved
@@ -27,9 +27,11 @@
 ///    (seed, channel, delivery time) so same-channel same-tick messages
 ///    tie and fall through to send order (the FIFO channel contract of
 ///    sim::Network survives the shuffle). One (spec, seed) pair therefore
-///    replays bit-for-bit on any machine and any worker count, while
-///    different seeds explore genuinely different interleavings than the
-///    DES backend.
+///    replays bit-for-bit on any machine, while different seeds explore
+///    genuinely different interleavings than the DES backend.
+///
+/// The engine runs on the calling thread. Parallelism lives one level up:
+/// campaigns and hunts run independent jobs on their --jobs threads.
 ///
 /// The perfect failure detector and FIFO-channel semantics mirror the DES
 /// stack exactly (strong accuracy/completeness, per-channel delivery

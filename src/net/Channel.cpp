@@ -17,11 +17,8 @@ using namespace cliffedge::net;
 void net::wrapChannelFrame(const std::vector<uint8_t> &Payload, uint32_t Seq,
                            uint32_t Ack, std::vector<uint8_t> &Out) {
   assert(Payload.size() >= core::kWirePrefixSize && "not a wire frame");
-  // The channel extension is defined for the v3 layout only — the legacy
-  // v1/v2 decoders (kept for the wire-compat differential runs) reject
-  // unknown flag bits, so wrapping them would corrupt every frame.
-  // Transports enforce the combination up front (ScenarioRunner asserts);
-  // this guards the codec itself.
+  // The channel extension is defined for the v3 layout, the only one
+  // the decoders accept.
   assert(Payload[4] == core::kWireVersion3 &&
          "channel extension requires a wire v3 payload");
   Out.clear();

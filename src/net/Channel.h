@@ -29,11 +29,11 @@
 /// This header holds the transport-agnostic pieces: the wrap/parse codec
 /// for the wire extension, the send/receive state machines (templated on
 /// the payload a transport buffers — byte frames for the DES network and
-/// the threaded runtime, pre-decoded messages for the sharded engine),
-/// and the fault-plane statistics block. Scheduling (event timers, worker
-/// threads) stays with each transport: sim::Network, engine::ShardedEngine
-/// and runtime::ThreadedCluster each drive these machines from their own
-/// serialised context.
+/// the proc daemons, pre-decoded messages for the sharded engine), and
+/// the fault-plane statistics block. Scheduling (event timers, wall-clock
+/// retransmission) stays with each transport: sim::Network,
+/// engine::ShardedEngine and the proc daemons each drive these machines
+/// from their own serialised context.
 ///
 //===----------------------------------------------------------------------===//
 

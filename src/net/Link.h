@@ -18,11 +18,12 @@
 /// every channel owns an independent SplitMix64 stream derived from the
 /// run seed and the channel key, and every transmit() consumes a fixed
 /// number of draws. Per-channel send order is deterministic on every
-/// backend, so lossy runs replay bit-for-bit at any worker count.
+/// backend, so lossy runs replay bit-for-bit.
 ///
 /// The layer above (net/Channel.h) restores the paper's reliable-FIFO
-/// contract; `sim::Network`, `engine::ShardedEngine` and
-/// `runtime::ThreadedCluster` wire the two together beneath delivery.
+/// contract; `sim::Network` and `engine::ShardedEngine` wire the two
+/// together beneath delivery (the proc daemons use this model as their
+/// send-side loss shim).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -120,7 +120,22 @@ private:
   std::vector<sockaddr_in> PeerAddr;
 
   // --- Protocol hosting -------------------------------------------------
+  /// The daemon's core::NodeHost: one object serves every hosted node.
+  struct Host final : core::NodeHost {
+    explicit Host(Daemon &D) : D(D) {}
+    void multicast(NodeId From, const graph::Region &To,
+                   const core::Message &M) override;
+    void monitorCrash(NodeId From, const graph::Region &Targets) override;
+    void decide(NodeId From, const graph::Region &View,
+                core::Value Chosen) override;
+    core::Value selectValue(NodeId From,
+                            const graph::Region &View) override;
+    Daemon &D;
+  };
+  Host HostObj{*this};
   std::unique_ptr<core::ViewTable> Views;
+  /// The daemon's one execution domain, shared by its hosted nodes.
+  std::unique_ptr<core::NodeContext> Ctx;
   std::vector<std::unique_ptr<core::CliffEdgeNode>> Nodes; ///< By node id.
   uint64_t Lamport = 0;
 
@@ -339,50 +354,53 @@ bool Daemon::buildWorld(std::string &Err) {
   core::Config Cfg;
   Cfg.Ranking = Spec.Ranking;
   Cfg.EarlyTermination = Spec.EarlyTermination;
-  for (NodeId Self : ShardNodes[MyShard]) {
-    core::Callbacks CBs;
-    CBs.Multicast = [this, Self](const graph::Region &To,
-                                 const core::Message &M) {
-      ++Lamport;
-      auto Bytes =
-          std::make_shared<const std::vector<uint8_t>>(core::encodeMessage(M));
-      for (NodeId R : To) {
-        ++Stats.Sent;
-        if (NodeShard[R] == MyShard)
-          LocalMail.push_back(Mail{Self, R, Lamport, Bytes});
-        else
-          sendData(Self, R, Bytes);
-      }
-    };
-    CBs.MonitorCrash = [this, Self](const graph::Region &Targets) {
-      for (NodeId Q : Targets) {
-        std::vector<NodeId> &Ws = WatchersOf[Q];
-        if (std::find(Ws.begin(), Ws.end(), Self) == Ws.end())
-          Ws.push_back(Self);
-        if (CrashedKnown.contains(Q))
-          PendingNotify.emplace_back(Self, Q);
-      }
-    };
-    CBs.Decide = [this, Self](const graph::Region &View, core::Value Chosen) {
-      ++Lamport;
-      std::string Csv;
-      for (NodeId M : View) {
-        if (!Csv.empty())
-          Csv += ',';
-        Csv += std::to_string(M);
-      }
-      writeEv("EV DECIDE " + std::to_string(Self) + " " +
-              std::to_string(Lamport) + " " + std::to_string(Chosen) + " " +
-              Csv);
-    };
-    // Mirrors trace::withRunnerDefaults: a proposer offers its own id.
-    CBs.SelectValue = [Self](const graph::Region &) {
-      return static_cast<core::Value>(Self);
-    };
-    Nodes[Self] = std::make_unique<core::CliffEdgeNode>(Self, G, *Views, Cfg,
-                                                        CBs);
-  }
+  Ctx = std::make_unique<core::NodeContext>(G, *Views, Cfg, HostObj);
+  for (NodeId Self : ShardNodes[MyShard])
+    Nodes[Self] = std::make_unique<core::CliffEdgeNode>(Self, *Ctx);
   return true;
+}
+
+void Daemon::Host::multicast(NodeId From, const graph::Region &To,
+                             const core::Message &M) {
+  ++D.Lamport;
+  auto Bytes =
+      std::make_shared<const std::vector<uint8_t>>(core::encodeMessage(M));
+  for (NodeId R : To) {
+    ++D.Stats.Sent;
+    if (D.NodeShard[R] == D.MyShard)
+      D.LocalMail.push_back(Mail{From, R, D.Lamport, Bytes});
+    else
+      D.sendData(From, R, Bytes);
+  }
+}
+
+void Daemon::Host::monitorCrash(NodeId From, const graph::Region &Targets) {
+  for (NodeId Q : Targets) {
+    std::vector<NodeId> &Ws = D.WatchersOf[Q];
+    if (std::find(Ws.begin(), Ws.end(), From) == Ws.end())
+      Ws.push_back(From);
+    if (D.CrashedKnown.contains(Q))
+      D.PendingNotify.emplace_back(From, Q);
+  }
+}
+
+void Daemon::Host::decide(NodeId From, const graph::Region &View,
+                          core::Value Chosen) {
+  ++D.Lamport;
+  std::string Csv;
+  for (NodeId M : View) {
+    if (!Csv.empty())
+      Csv += ',';
+    Csv += std::to_string(M);
+  }
+  D.writeEv("EV DECIDE " + std::to_string(From) + " " +
+            std::to_string(D.Lamport) + " " + std::to_string(Chosen) + " " +
+            Csv);
+}
+
+// Mirrors trace::withRunnerDefaults: a proposer offers its own id.
+core::Value Daemon::Host::selectValue(NodeId From, const graph::Region &) {
+  return static_cast<core::Value>(From);
 }
 
 void Daemon::eventLoop() {

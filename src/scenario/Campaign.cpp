@@ -128,17 +128,13 @@ static JobOutcome startOutcome(const Spec &V, uint64_t Seed) {
 }
 
 JobOutcome CampaignRunner::runOneJob(const Spec &V, uint64_t Seed,
-                                     unsigned EngineWorkers,
                                      const TopologyInfo *World) {
   if (V.Transport == TransportKind::Proc)
     return runOneProcJob(V, Seed);
 
   JobOutcome Out = startOutcome(V, Seed);
 
-  engine::EngineOptions EngOpts;
-  EngOpts.Workers = EngineWorkers;
-  std::unique_ptr<engine::Engine> Eng =
-      engine::makeEngine(V.Backend, EngOpts);
+  std::unique_ptr<engine::Engine> Eng = engine::makeEngine(V.Backend);
 
   if (V.Epochs.size() == 1 && V.ServiceEpochs == 0) {
     MaterializedRun Run;
@@ -319,7 +315,7 @@ CampaignSummary CampaignRunner::run(const CampaignOptions &Opts) {
       VariantWorld &W = Worlds[VariantIdx];
       JobOutcome Out;
       if (!W.Shared) {
-        Out = runOneJob(V, Seed, Opts.EngineWorkers);
+        Out = runOneJob(V, Seed);
       } else {
         const TopologyInfo *World;
         {
@@ -333,7 +329,7 @@ CampaignSummary CampaignRunner::run(const CampaignOptions &Opts) {
           World = W.Topo.get();
         }
         if (World) {
-          Out = runOneJob(V, Seed, Opts.EngineWorkers, World);
+          Out = runOneJob(V, Seed, World);
         } else {
           Out = startOutcome(V, Seed);
           Out.Error = W.Error;

@@ -107,10 +107,6 @@ struct CampaignSummary {
 /// Execution options for a campaign.
 struct CampaignOptions {
   unsigned Threads = 1; ///< Worker threads; clamped to the job count.
-  /// Shard workers inside each job's engine (sharded backend only).
-  /// Campaign parallelism normally comes from Threads — the deterministic
-  /// merge makes every summary identical for any value here.
-  unsigned EngineWorkers = 1;
   /// Cooperative cancellation (SIGINT/SIGTERM): when it reads true,
   /// workers stop taking new jobs and drain. Jobs already running finish
   /// normally and keep their outcomes.
@@ -136,11 +132,10 @@ public:
 
   /// Runs one job in isolation — the unit the pool executes, exposed for
   /// tests and for the CLI's single-run path. The variant's Backend picks
-  /// the engine; \p EngineWorkers drives its shards (sharded only). With
-  /// \p World set, the job borrows that world (see materializeSingle)
-  /// instead of building its own; proc jobs ignore it.
+  /// the engine, which runs on the calling thread. With \p World set, the
+  /// job borrows that world (see materializeSingle) instead of building
+  /// its own; proc jobs ignore it.
   static JobOutcome runOneJob(const Spec &Variant, uint64_t Seed,
-                              unsigned EngineWorkers = 1,
                               const TopologyInfo *World = nullptr);
 
 private:

@@ -32,7 +32,7 @@ StableScenarioRunner::StableScenarioRunner(const graph::Graph &InG,
               [this](NodeId Watcher, NodeId Target) {
                 // Withdrawn (marked) nodes ignore the agreement entirely.
                 if (!Withdrawn[Watcher])
-                  Nodes[Watcher]->onCrash(Target);
+                  Nodes[Watcher].onCrash(Target);
               }),
       Withdrawn(G.numNodes(), false), AppTicks(G.numNodes(), 0),
       MarkTimes(G.numNodes(), TimeNever) {
@@ -46,42 +46,48 @@ StableScenarioRunner::StableScenarioRunner(const graph::Graph &InG,
         std::optional<core::Message> M = core::decodeMessage(*Bytes, Views);
         assert(M && "transport delivered a corrupt frame");
         if (M)
-          Nodes[To]->onDeliver(From, *M);
+          Nodes[To].onDeliver(From, *M);
       });
 
   Nodes.reserve(G.numNodes());
-  for (NodeId N = 0; N < G.numNodes(); ++N) {
-    core::Callbacks CBs;
-    CBs.Multicast = [this, N](const graph::Region &To,
-                              const core::Message &M) {
-      if (Withdrawn[N])
-        return; // A withdrawn node sends no protocol traffic.
-      sim::Network::Frame Frame =
-          support::FrameRef::fresh(core::encodeMessage(M));
-      for (NodeId Recipient : To)
-        Net.send(N, Recipient, Frame);
-    };
-    CBs.MonitorCrash = [this, N](const graph::Region &Targets) {
-      Service.monitor(N, Targets);
-    };
-    CBs.Decide = [this, N](const graph::Region &View, core::Value Chosen) {
-      Decisions.push_back(trace::DecisionRecord{N, View, Chosen,
-                                                Sim.now()});
-    };
-    CBs.SelectValue = [N](const graph::Region &) {
-      return static_cast<core::Value>(N);
-    };
-    Nodes.push_back(std::make_unique<core::CliffEdgeNode>(
-        N, G, Views, Opts.NodeConfig, std::move(CBs)));
-  }
-  for (auto &Node : Nodes)
-    Node->start();
+  for (NodeId N = 0; N < G.numNodes(); ++N)
+    Nodes.emplace_back(N, Ctx);
+  for (core::CliffEdgeNode &Node : Nodes)
+    Node.start();
 
   // Application heartbeats: marked nodes keep serving (the whole point of
   // the generalisation — the subject of the agreement is alive).
   if (Opts.AppTickPeriod > 0)
     for (NodeId N = 0; N < G.numNodes(); ++N)
       Sim.at(Opts.AppTickPeriod, [this, N]() { appTick(N); });
+}
+
+void StableScenarioRunner::Host::multicast(NodeId From,
+                                           const graph::Region &To,
+                                           const core::Message &M) {
+  if (R.Withdrawn[From])
+    return; // A withdrawn node sends no protocol traffic.
+  sim::Network::Frame Frame =
+      support::FrameRef::fresh(core::encodeMessage(M));
+  for (NodeId Recipient : To)
+    R.Net.send(From, Recipient, Frame);
+}
+
+void StableScenarioRunner::Host::monitorCrash(NodeId From,
+                                              const graph::Region &Targets) {
+  R.Service.monitor(From, Targets);
+}
+
+void StableScenarioRunner::Host::decide(NodeId From,
+                                        const graph::Region &View,
+                                        core::Value Chosen) {
+  R.Decisions.push_back(
+      trace::DecisionRecord{From, View, Chosen, R.Sim.now()});
+}
+
+core::Value StableScenarioRunner::Host::selectValue(NodeId From,
+                                                    const graph::Region &) {
+  return static_cast<core::Value>(From);
 }
 
 void StableScenarioRunner::appTick(NodeId N) {

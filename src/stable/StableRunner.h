@@ -93,13 +93,30 @@ private:
   /// One application heartbeat of node \p N; re-arms itself.
   void appTick(NodeId N);
 
+  /// The runner's core::NodeHost: one object serves every node; effects
+  /// of a withdrawn node's protocol instance are suppressed here.
+  struct Host final : core::NodeHost {
+    explicit Host(StableScenarioRunner &R) : R(R) {}
+    void multicast(NodeId From, const graph::Region &To,
+                   const core::Message &M) override;
+    void monitorCrash(NodeId From, const graph::Region &Targets) override;
+    void decide(NodeId From, const graph::Region &View,
+                core::Value Chosen) override;
+    core::Value selectValue(NodeId From,
+                            const graph::Region &View) override;
+    StableScenarioRunner &R;
+  };
+
   const graph::Graph &G;
   StableRunnerOptions Opts;
   core::ViewTable Views{G, Opts.NodeConfig.Ranking};
   sim::Simulator Sim;
   sim::Network Net;
   PredicateService Service;
-  std::vector<std::unique_ptr<core::CliffEdgeNode>> Nodes;
+  Host HostObj{*this};
+  /// The run's single execution domain, shared by every node.
+  core::NodeContext Ctx{G, Views, Opts.NodeConfig, HostObj};
+  std::vector<core::CliffEdgeNode> Nodes;
   std::vector<bool> Withdrawn;
   std::vector<uint64_t> AppTicks;
   std::vector<trace::DecisionRecord> Decisions;

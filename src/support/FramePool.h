@@ -11,8 +11,9 @@
 /// previous std::shared_ptr<const std::vector<uint8_t>> this removes the
 /// two heap allocations per multicast (control block + byte storage): a
 /// FramePool recycles released buffers, so steady-state round traffic runs
-/// entirely on warm capacity. The refcount is atomic — the threaded
-/// runtime and the sharded engine hand frames across threads.
+/// entirely on warm capacity. The refcount is atomic, so a frame may be
+/// released on a thread other than its acquirer's; every in-tree
+/// transport acquires and releases on one thread.
 ///
 /// Discipline: a frame is writable (mutableBytes) only while its acquirer
 /// holds the sole reference; once it has been shared with the transport it
@@ -148,8 +149,8 @@ private:
 
 /// Recycler of FrameBufs. acquire() prefers a previously released buffer
 /// (whose byte capacity is already warm); release happens automatically
-/// when the last FrameRef drops. Thread-safe: the sharded engine acquires
-/// from worker threads and releases at the serial merge.
+/// when the last FrameRef drops. Thread-safe: acquire and release may run
+/// on different threads.
 class FramePool {
 public:
   FramePool() = default;

@@ -51,19 +51,6 @@ ScenarioRunner::ScenarioRunner(const graph::Graph &InG, RunnerOptions InOpts)
                                uint32_t Bytes) {
       Opts.StreamingCheck->onSend(When, From, To, Bytes);
     });
-  // The fault plane's channel extension is a wire v3 feature; the legacy
-  // encodings (a test-only compat knob) reject its flag bit, so the
-  // combination would corrupt every frame — every data frame dropped,
-  // nothing acked, the ARQ retransmitting forever. Die loudly in every
-  // build type rather than livelock.
-  if (Opts.Link.active() && Opts.WireVersion != 3) {
-    std::fprintf(stderr,
-                 "cliffedge: the fault plane (link spec '%s') requires "
-                 "wire v3; the legacy v%u layout has no channel "
-                 "extension\n",
-                 Opts.Link.compact().c_str(), Opts.WireVersion);
-    std::abort();
-  }
   Net.enableFaultPlane(Opts.Link, Opts.LinkSeed, Opts.LinkSalt);
   Sim.setTieBias(Opts.TieBreakBias);
   // Steady state keeps roughly a border's worth of frames per node in
@@ -94,7 +81,6 @@ core::CliffEdgeNode &ScenarioRunner::liveNode(NodeId N) {
   NodeSlot &S = Slots.mut(N);
   if (!S.Node.started()) {
     S.Node = core::CliffEdgeNode(N, Ctx);
-    S.Encoder = core::WireEncoder(Opts.WireVersion);
     S.Node.start();
   }
   return S.Node;

@@ -119,13 +119,6 @@ struct RunnerOptions {
   /// Safety valve: abort the run after this many simulator events
   /// (0 = unlimited). A correct run always quiesces on its own.
   uint64_t MaxEvents = 0;
-
-  /// Wire format used for protocol frames: 3 (current; announce-once +
-  /// id-only rounds), or 2 / 1 to force a legacy full-region layout on
-  /// every frame. The differential engine tests pin v3 against the v2
-  /// baseline with this. Legacy versions cannot combine with an active
-  /// Link spec — the channel extension exists only in the v3 layout.
-  uint8_t WireVersion = 3;
 };
 
 /// Fills unset RunnerOptions fields with the stack's defaults: fixed

@@ -83,8 +83,8 @@ namespace trace {
 /// decisions may interleave arbitrarily (obligations pend until resolved)
 /// — as long as decisions arrive in their emission order and sends in log
 /// order; the sealed verdict is a pure function of the event *sets*, which
-/// is what makes chunked feeding byte-identical. Not thread-safe: callers
-/// with concurrent producers (runtime::ThreadedCluster) serialize feeds.
+/// is what makes chunked feeding byte-identical. Not thread-safe: a
+/// caller with concurrent producers must serialize feeds.
 class StreamingChecker {
 public:
   /// Steady-state metrics accumulated across sealed epochs.

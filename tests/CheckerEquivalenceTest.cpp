@@ -18,8 +18,8 @@
 /// Chunking one trace's merged event stream into batches of 1, of 7, and
 /// of everything-at-once — regrouping each chunk as sends, then
 /// decisions, then crashes — must yield byte-identical results. This is
-/// what lets three very different producers (DES callbacks, the sharded
-/// merge, the threaded runtime's logical clock) share one checker.
+/// what lets very different producers (DES callbacks, the sharded merge)
+/// share one checker.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -22,6 +22,8 @@
 
 #include "gtest/gtest.h"
 
+#include <cassert>
+#include <memory>
 #include <optional>
 
 using namespace cliffedge;
@@ -34,30 +36,39 @@ using graph::Region;
 
 namespace {
 
-struct Harness {
+/// The test's core::NodeHost: records multicasts and the decision, and
+/// owns the view intern table and the node's execution domain.
+struct Harness final : core::NodeHost {
   struct Sent {
     Region To;
     Message M;
   };
+  const graph::Graph &G;
   core::ViewTable Views;
+  std::unique_ptr<core::NodeContext> Ctx;
   std::vector<Sent> Outbox;
   std::optional<core::Decision> Decided;
 
   explicit Harness(const graph::Graph &G,
                    graph::RankingKind Kind = graph::RankingKind::SizeBorderLex)
-      : Views(G, Kind) {}
+      : G(G), Views(G, Kind) {}
 
-  core::Callbacks callbacks() {
-    core::Callbacks CBs;
-    CBs.Multicast = [this](const Region &To, const Message &M) {
-      Outbox.push_back(Sent{To, M});
-    };
-    CBs.MonitorCrash = [](const Region &) {};
-    CBs.Decide = [this](const Region &View, core::Value Chosen) {
-      Decided = core::Decision{View, Chosen};
-    };
-    CBs.SelectValue = [](const Region &) { return core::Value(7); };
-    return CBs;
+  /// The node under test, hosted by this harness.
+  CliffEdgeNode node(NodeId Self, core::Config Cfg = core::Config()) {
+    assert(!Ctx && "one node per harness");
+    Ctx = std::make_unique<core::NodeContext>(G, Views, Cfg, *this);
+    return CliffEdgeNode(Self, *Ctx);
+  }
+
+  void multicast(NodeId, const Region &To, const Message &M) override {
+    Outbox.push_back(Sent{To, M});
+  }
+  void monitorCrash(NodeId, const Region &) override {}
+  void decide(NodeId, const Region &View, core::Value Chosen) override {
+    Decided = core::Decision{View, Chosen};
+  }
+  core::Value selectValue(NodeId, const Region &) override {
+    return core::Value(7);
   }
 };
 
@@ -100,7 +111,7 @@ TEST(CoreEdgeTest, EarlyTerminationSendsFinalAndDecides) {
   core::Config Cfg;
   Cfg.EarlyTermination = true;
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, Cfg, H.callbacks());
+  CliffEdgeNode Node = H.node(0, Cfg);
   Node.start();
   Node.onCrash(1);
 
@@ -136,7 +147,7 @@ TEST(CoreEdgeTest, NoEarlyTerminationWhenRelaysIncomplete) {
   core::Config Cfg;
   Cfg.EarlyTermination = true;
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, Cfg, H.callbacks());
+  CliffEdgeNode Node = H.node(0, Cfg);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -166,7 +177,7 @@ TEST(CoreEdgeTest, FinalMessagesCoverAllRemainingRounds) {
   Region V{1};
   Region B{0, 2, 3, 4};
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -198,7 +209,7 @@ TEST(CoreEdgeTest, FinalFromAheadPeerCoversRoundsNeverTouched) {
   Region V{1};
   Region B{0, 2, 3, 4};
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -239,7 +250,7 @@ TEST(CoreEdgeTest, EarlyTerminationOnRelaysMergedBeforeTheRoundStarted) {
   core::Config Cfg;
   Cfg.EarlyTermination = true;
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, Cfg, H.callbacks());
+  CliffEdgeNode Node = H.node(0, Cfg);
   Node.start();
   Node.onCrash(1);
   OpinionVec Full = completeAccepts(B);
@@ -269,7 +280,7 @@ TEST(CoreEdgeTest, CompletionCheckOnUntouchedRoundAwaitsWholeBorder) {
   Region V{1};
   Region B{0, 2, 3, 4};
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -309,7 +320,7 @@ TEST(CoreEdgeTest, RoundMessageFromOutsideTheBorderIsIgnored) {
   Region V{1};
   Region B{0, 2, 3, 4};
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -339,7 +350,7 @@ TEST(CoreEdgeTest, CompleteRelayFromOutsideTheBorderDoesNotTerminateEarly) {
   core::Config Cfg;
   Cfg.EarlyTermination = true;
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, Cfg, H.callbacks());
+  CliffEdgeNode Node = H.node(0, Cfg);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -374,7 +385,7 @@ TEST(CoreEdgeTest, RoundPastTheLastIsIgnored) {
   Region V{1};
   Region B{0, 2, 3, 4};
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(2, roundMsg(H.Views, 4, V, B, completeAccepts(B)));
@@ -390,7 +401,7 @@ TEST(CoreEdgeTest, PureLexStallsWhenGrownRegionRanksLower) {
   core::Config Cfg;
   Cfg.Ranking = graph::RankingKind::PureLex;
   Harness H(G, graph::RankingKind::PureLex);
-  CliffEdgeNode Node(3, G, H.Views, Cfg, H.callbacks());
+  CliffEdgeNode Node = H.node(3, Cfg);
   Node.start();
   Node.onCrash(2);
   EXPECT_EQ(Node.lastProposedView(), (Region{2}));
@@ -398,7 +409,7 @@ TEST(CoreEdgeTest, PureLexStallsWhenGrownRegionRanksLower) {
   EXPECT_EQ(Node.counters().Proposals, 1u); // No re-proposal.
   // The paper's ranking tracks the growth instead.
   Harness H2(G);
-  CliffEdgeNode Sane(3, G, H2.Views, core::Config(), H2.callbacks());
+  CliffEdgeNode Sane = H2.node(3);
   Sane.start();
   Sane.onCrash(2);
   Sane.onDeliver(3, H2.Outbox[0].M); // Self echo so failure can occur.
@@ -412,7 +423,7 @@ TEST(CoreEdgeTest, PureLexStallsWhenGrownRegionRanksLower) {
 TEST(CoreEdgeTest, DecidedNodeIgnoresNewCandidates) {
   graph::Graph G = graph::makeLine(4); // 0-1-2-3
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -432,7 +443,7 @@ TEST(CoreEdgeTest, DecidedNodeIgnoresNewCandidates) {
 TEST(CoreEdgeTest, LateMessagesAfterDecisionAreHarmless) {
   graph::Graph G = graph::makeLine(4);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);

@@ -19,6 +19,8 @@
 
 #include "gtest/gtest.h"
 
+#include <cassert>
+#include <memory>
 #include <optional>
 
 using namespace cliffedge;
@@ -31,38 +33,44 @@ using graph::Region;
 
 namespace {
 
-/// Records every outgoing effect of the node under test. Owns the test's
-/// view intern table (run-wide state the node and messages share).
-struct Harness {
+/// Records every outgoing effect of the node under test: the test's
+/// core::NodeHost. Owns the test's view intern table (run-wide state the
+/// node and messages share) and the node's execution domain.
+struct Harness final : core::NodeHost {
   struct Sent {
     Region To;
     Message M;
   };
+  const graph::Graph &G;
   core::ViewTable Views;
+  std::unique_ptr<core::NodeContext> Ctx;
   std::vector<Sent> Outbox;
   std::vector<Region> Monitored;
   std::optional<core::Decision> Decided;
 
   explicit Harness(const graph::Graph &G,
                    graph::RankingKind Kind = graph::RankingKind::SizeBorderLex)
-      : Views(G, Kind) {}
+      : G(G), Views(G, Kind) {}
 
-  core::Callbacks callbacks() {
-    core::Callbacks CBs;
-    CBs.Multicast = [this](const Region &To, const Message &M) {
-      Outbox.push_back(Sent{To, M});
-    };
-    CBs.MonitorCrash = [this](const Region &Targets) {
-      Monitored.push_back(Targets);
-    };
-    CBs.Decide = [this](const Region &View, core::Value Chosen) {
-      ASSERT_FALSE(Decided.has_value()) << "node decided twice";
-      Decided = core::Decision{View, Chosen};
-    };
-    CBs.SelectValue = [](const Region &View) {
-      return static_cast<core::Value>(1000 + View.size());
-    };
-    return CBs;
+  /// The node under test, hosted by this harness.
+  CliffEdgeNode node(NodeId Self, core::Config Cfg = core::Config()) {
+    assert(!Ctx && "one node per harness");
+    Ctx = std::make_unique<core::NodeContext>(G, Views, Cfg, *this);
+    return CliffEdgeNode(Self, *Ctx);
+  }
+
+  void multicast(NodeId, const Region &To, const Message &M) override {
+    Outbox.push_back(Sent{To, M});
+  }
+  void monitorCrash(NodeId, const Region &Targets) override {
+    Monitored.push_back(Targets);
+  }
+  void decide(NodeId, const Region &View, core::Value Chosen) override {
+    ASSERT_FALSE(Decided.has_value()) << "node decided twice";
+    Decided = core::Decision{View, Chosen};
+  }
+  core::Value selectValue(NodeId, const Region &View) override {
+    return static_cast<core::Value>(1000 + View.size());
   }
 
   /// Builds a round-1 accept message as peer \p Peer would send for view
@@ -93,7 +101,7 @@ struct Harness {
 TEST(CoreUnitTest, StartMonitorsOwnNeighbours) {
   graph::Graph G = graph::makeLine(3); // 0-1-2
   Harness H(G);
-  CliffEdgeNode Node(1, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(1);
   Node.start();
   ASSERT_EQ(H.Monitored.size(), 1u);
   EXPECT_EQ(H.Monitored[0], (Region{0, 2}));
@@ -102,7 +110,7 @@ TEST(CoreUnitTest, StartMonitorsOwnNeighbours) {
 TEST(CoreUnitTest, CrashTriggersProposalWithOwnAccept) {
   graph::Graph G = graph::makeLine(3); // 0-1-2; border({1}) = {0,2}.
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
 
@@ -123,7 +131,7 @@ TEST(CoreUnitTest, CrashTriggersProposalWithOwnAccept) {
 TEST(CoreUnitTest, CrashExtendsMonitoringToCrashedNodesBorder) {
   graph::Graph G = graph::makeLine(4); // 0-1-2-3
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   // monitor(border(1) \ locallyCrashed) = {0,2}\{1} = {0,2}; self filtered
@@ -135,7 +143,7 @@ TEST(CoreUnitTest, CrashExtendsMonitoringToCrashedNodesBorder) {
 TEST(CoreUnitTest, SelfDeliveryAloneDoesNotDecideWithTwoBorderNodes) {
   graph::Graph G = graph::makeLine(3);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M); // Own round-1 comes back.
@@ -146,7 +154,7 @@ TEST(CoreUnitTest, SelfDeliveryAloneDoesNotDecideWithTwoBorderNodes) {
 TEST(CoreUnitTest, DecidesWhenAllBorderAcceptsArrive) {
   graph::Graph G = graph::makeLine(3); // border({1}) = {0,2}: 1 round.
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -163,7 +171,7 @@ TEST(CoreUnitTest, DecidesWhenAllBorderAcceptsArrive) {
 TEST(CoreUnitTest, SoleBorderNodeDecidesFromSelfDeliveryAlone) {
   graph::Graph G = graph::makeLine(2); // 0-1; border({1}) = {0}.
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   ASSERT_EQ(H.Outbox.size(), 1u);
@@ -176,7 +184,7 @@ TEST(CoreUnitTest, RejectsLowerRankedView) {
   graph::Graph G = graph::makeLine(5); // 0-1-2-3-4
   Harness H(G);
   // Node 0 detects {1,2} crashed: proposes the two-node view.
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onCrash(2);
@@ -211,7 +219,7 @@ TEST(CoreUnitTest, RejectsLowerRankedView) {
 TEST(CoreUnitTest, IgnoresMessagesForRejectedViews) {
   graph::Graph G = graph::makeLine(5);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onCrash(2);
@@ -228,7 +236,7 @@ TEST(CoreUnitTest, FailedInstanceDoesNotDecideOnCrashHole) {
   // sending its accept, the vector keeps a bottom and the instance fails.
   graph::Graph G = graph::makeLine(3);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Node.onDeliver(0, H.Outbox[0].M);
@@ -245,7 +253,7 @@ TEST(CoreUnitTest, FailedInstanceDoesNotDecideOnCrashHole) {
 TEST(CoreUnitTest, ProposedViewsGrowMonotonically) {
   graph::Graph G = graph::makeLine(6);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   EXPECT_EQ(Node.lastProposedView().size(), 1u);
@@ -266,7 +274,7 @@ TEST(CoreUnitTest, MultiRoundInstanceRelaysPreviousVector) {
   ASSERT_TRUE(Border.contains(Self));
 
   Harness H(G);
-  CliffEdgeNode Node(Self, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(Self);
   Node.start();
   Node.onCrash(A);
   // onCrash(A) proposes {A}; onCrash(B) only updates the candidate since
@@ -286,7 +294,7 @@ TEST(CoreUnitTest, RejectEntriesRemoveSenderFromWaiting) {
   G.addEdge(3, 1);
   // border({1}) = {0,2,3}: 2 rounds.
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   Region V{1};
@@ -308,7 +316,7 @@ TEST(CoreUnitTest, RejectEntriesRemoveSenderFromWaiting) {
 TEST(CoreUnitTest, CountersTrackActivity) {
   graph::Graph G = graph::makeLine(3);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   EXPECT_EQ(Node.counters().Proposals, 0u);
   Node.onCrash(1);
@@ -320,7 +328,7 @@ TEST(CoreUnitTest, CountersTrackActivity) {
 TEST(CoreUnitTest, NoProposalBeforeAnyCrash) {
   graph::Graph G = graph::makeRing(5);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   EXPECT_FALSE(Node.hasActiveProposal());
   EXPECT_TRUE(H.Outbox.empty());
@@ -330,7 +338,7 @@ TEST(CoreUnitTest, NoProposalBeforeAnyCrash) {
 TEST(CoreUnitTest, TrackedViewsCountsDistinctInstances) {
   graph::Graph G = graph::makeLine(3);
   Harness H(G);
-  CliffEdgeNode Node(0, G, H.Views, core::Config(), H.callbacks());
+  CliffEdgeNode Node = H.node(0);
   Node.start();
   Node.onCrash(1);
   EXPECT_EQ(Node.trackedViews(), 0u); // Self message not delivered yet.

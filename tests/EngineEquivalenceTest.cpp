@@ -24,8 +24,8 @@
 /// which the paper's properties (quantified over correct nodes, except
 /// uniform CD5) never constrain.
 ///
-/// The sharded engine must additionally be replayable: identical results
-/// for any worker count on one (spec, seed).
+/// The sharded engine must additionally be replayable: identical full
+/// results every time one (spec, seed) runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,7 +109,6 @@ struct EpochOutcome {
 std::vector<EpochOutcome> runAllEpochs(engine::Engine &Eng,
                                        const scenario::Spec &V,
                                        uint64_t Seed, std::string &Error,
-                                       uint8_t WireVersion = 3,
                                        const net::LinkSpec *LinkOverride =
                                            nullptr) {
   std::vector<EpochOutcome> Out;
@@ -121,7 +120,6 @@ std::vector<EpochOutcome> runAllEpochs(engine::Engine &Eng,
   Rng PlanRand(Sub.next());
   Rng LatRand(Sub.next());
   trace::RunnerOptions Opts = scenario::makeRunnerOptions(V, LatRand);
-  Opts.WireVersion = WireVersion;
   if (LinkOverride)
     Opts.Link = *LinkOverride;
   for (size_t E = 0; E < V.Epochs.size(); ++E) {
@@ -305,62 +303,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range<size_t>(0, EngineEquivalence::scenarios().size()),
     scenarioName);
 
-/// Wire-format differential: the v3 data plane (announce-once + id-only
-/// round frames) against the legacy v2 full-region encoding, on BOTH
-/// backends. Frame layout must be invisible to the protocol: the latency
-/// model and every tie-break are byte-agnostic, so for a fixed backend a
-/// v2 run and a v3 run realise the *same* interleaving — the comparison
-/// is exact (verdicts, faulty sets, max_views of every node, including
-/// the check-off ablation specs the cross-backend test must exempt). Two
-/// seeds per scenario keep tier-1 fast; the cross-backend suite above
-/// covers the remaining seeds on v3.
-TEST_P(EngineEquivalence, WireV3MatchesV2BaselineOnBothBackends) {
-  const LoadedScenario &Scn = scenarios()[GetParam()];
-  scenario::Spec V = firstVariant(Scn.S);
-  // The fault plane requires wire v3 — the legacy v2 layout has no
-  // channel extension — so no v2 baseline exists for a link-active
-  // spec. (Link *sweeps* still participate: their first variant
-  // collapses to `none`, e.g. lossy_torus_outage.)
-  if (V.Link.active())
-    return;
-  // One seed at a million nodes (see the cross-backend test above).
-  uint64_t Seeds = Scn.File.rfind("million_", 0) == 0 ? 1 : 2;
-  for (uint64_t I = 0; I < Seeds; ++I) {
-    uint64_t Seed = V.SeedLo + I;
-    std::string Label = Scn.File + " seed " + std::to_string(Seed);
-    engine::DesEngine Des;
-    engine::ShardedEngine Sharded;
-    for (engine::Engine *Eng :
-         {static_cast<engine::Engine *>(&Des),
-          static_cast<engine::Engine *>(&Sharded)}) {
-      const char *Backend = Eng == &Des ? " [des]" : " [sharded]";
-      std::string ErrV2, ErrV3;
-      std::vector<EpochOutcome> V2 =
-          runAllEpochs(*Eng, V, Seed, ErrV2, /*WireVersion=*/2);
-      std::vector<EpochOutcome> V3 =
-          runAllEpochs(*Eng, V, Seed, ErrV3, /*WireVersion=*/3);
-      ASSERT_TRUE(ErrV2.empty()) << Label << Backend << ": " << ErrV2;
-      ASSERT_TRUE(ErrV3.empty()) << Label << Backend << ": " << ErrV3;
-      ASSERT_EQ(V2.size(), V.Epochs.size()) << Label << Backend;
-      ASSERT_EQ(V3.size(), V.Epochs.size()) << Label << Backend;
-      for (size_t E = 0; E < V2.size(); ++E) {
-        std::string Where =
-            Label + Backend + " epoch " + std::to_string(E + 1);
-        EXPECT_EQ(V2[E].Quiesced, V3[E].Quiesced) << Where;
-        EXPECT_EQ(V2[E].Faulty, V3[E].Faulty) << Where;
-        EXPECT_EQ(V2[E].Check.Ok, V3[E].Check.Ok)
-            << Where << "\nv2:\n"
-            << V2[E].Check.summary() << "\nv3:\n"
-            << V3[E].Check.summary();
-        EXPECT_EQ(V2[E].Check.Violations, V3[E].Check.Violations) << Where;
-        // Byte-identical down to every node's final max_view — faulty
-        // nodes included, since the interleaving itself is shared.
-        EXPECT_EQ(V2[E].FinalMaxViews, V3[E].FinalMaxViews) << Where;
-      }
-    }
-  }
-}
-
 /// The fault-plane differential: every curated scenario re-run under
 /// `link drop:0.2 dup:0.01 reorder:15` on BOTH backends must produce the
 /// CD1..CD7 verdicts, faulty sets and converged max_views of the
@@ -404,9 +346,9 @@ TEST_P(EngineEquivalence, LossyLinksMatchZeroLossBaselineOnBothBackends) {
       const char *Backend = Eng == &Des ? " [des]" : " [sharded]";
       std::string ErrBase, ErrLossy;
       std::vector<EpochOutcome> Base =
-          runAllEpochs(*Eng, V, Seed, ErrBase, /*WireVersion=*/3, &None);
+          runAllEpochs(*Eng, V, Seed, ErrBase, &None);
       std::vector<EpochOutcome> Faulted =
-          runAllEpochs(*Eng, V, Seed, ErrLossy, /*WireVersion=*/3, &Lossy);
+          runAllEpochs(*Eng, V, Seed, ErrLossy, &Lossy);
       ASSERT_TRUE(ErrBase.empty()) << Label << Backend << ": " << ErrBase;
       ASSERT_TRUE(ErrLossy.empty()) << Label << Backend << ": " << ErrLossy;
       ASSERT_EQ(Base.size(), V.Epochs.size()) << Label << Backend;
@@ -432,21 +374,17 @@ TEST_P(EngineEquivalence, LossyLinksMatchZeroLossBaselineOnBothBackends) {
   }
 }
 
-/// Worker counts and shard counts the determinism sweeps cover: each
-/// worker count must reproduce the one-worker run at the same shard count
-/// (the shard count itself is part of the replay key: it orders the merge).
-constexpr unsigned SweepWorkers[] = {2, 4};
+/// Shard counts the determinism sweeps cover (the shard count is part of
+/// the replay key: it orders the merge).
 constexpr uint32_t SweepShards[] = {7, 32};
 
 /// One sharded run of \p V at its first seed, freshly materialized (the
 /// latency closures draw from the run's own RNG).
-engine::EngineResult runSharded(const scenario::Spec &V, unsigned Workers,
-                                uint32_t Shards) {
+engine::EngineResult runSharded(const scenario::Spec &V, uint32_t Shards) {
   scenario::MaterializedRun Run;
   std::string Err;
   EXPECT_TRUE(scenario::materializeSingle(V, V.SeedLo, Run, Err)) << Err;
   engine::EngineOptions Opts;
-  Opts.Workers = Workers;
   Opts.Shards = Shards;
   engine::ShardedEngine Eng(Opts);
   engine::EngineJob Job;
@@ -487,10 +425,10 @@ void expectSameRun(const engine::EngineResult &A,
   EXPECT_EQ(A.FinalMaxViews, B.FinalMaxViews) << Where;
 }
 
-/// Lossy sharded runs replay bit-for-bit at any worker count: every link
-/// draw happens at the serial merge, so the whole fault schedule — and
-/// with it the full result — is a pure function of (spec, seed).
-TEST(EngineEquivalenceSuite, LossyShardedResultIndependentOfWorkers) {
+/// Lossy sharded runs replay bit-for-bit: every link draw happens at the
+/// merge, so the whole fault schedule — and with it the full result — is
+/// a pure function of (spec, seed).
+TEST(EngineEquivalenceSuite, LossyShardedRunReplays) {
   const auto &All = EngineEquivalence::scenarios();
   ASSERT_FALSE(All.empty());
   net::LinkSpec Lossy;
@@ -507,11 +445,9 @@ TEST(EngineEquivalenceSuite, LossyShardedResultIndependentOfWorkers) {
       break;
     V.Link = Lossy;
     for (uint32_t Shards : SweepShards) {
-      engine::EngineResult A = runSharded(V, 1, Shards);
-      for (unsigned Workers : SweepWorkers)
-        expectSameRun(A, runSharded(V, Workers, Shards),
-                      Scn.File + " shards " + std::to_string(Shards) +
-                          " workers " + std::to_string(Workers));
+      engine::EngineResult A = runSharded(V, Shards);
+      expectSameRun(A, runSharded(V, Shards),
+                    Scn.File + " shards " + std::to_string(Shards));
       // A 25% drop rate on real traffic must actually have exercised the
       // plane for this determinism check to mean anything.
       EXPECT_GT(A.Stats.Channel.LinkDropped, 0u) << Scn.File;
@@ -598,9 +534,8 @@ TEST(EngineEquivalenceSuite, CuratedScenariosWereFound) {
 }
 
 /// Deterministic merge: the sharded engine's full result — not just the
-/// converged outcome — is a pure function of (spec, seed), independent of
-/// the worker count driving the shards.
-TEST(EngineEquivalenceSuite, ShardedResultIndependentOfWorkers) {
+/// converged outcome — is a pure function of (spec, seed).
+TEST(EngineEquivalenceSuite, ShardedRunReplays) {
   const auto &All = EngineEquivalence::scenarios();
   ASSERT_FALSE(All.empty());
   size_t Checked = 0;
@@ -612,13 +547,9 @@ TEST(EngineEquivalenceSuite, ShardedResultIndependentOfWorkers) {
     // suffice; every scenario is covered by the differential suite above.
     if (++Checked > 2)
       break;
-    for (uint32_t Shards : SweepShards) {
-      engine::EngineResult A = runSharded(V, 1, Shards);
-      for (unsigned Workers : SweepWorkers)
-        expectSameRun(A, runSharded(V, Workers, Shards),
-                      Scn.File + " shards " + std::to_string(Shards) +
-                          " workers " + std::to_string(Workers));
-    }
+    for (uint32_t Shards : SweepShards)
+      expectSameRun(runSharded(V, Shards), runSharded(V, Shards),
+                    Scn.File + " shards " + std::to_string(Shards));
   }
   EXPECT_GE(Checked, 2u);
 }

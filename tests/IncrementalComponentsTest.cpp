@@ -54,6 +54,15 @@ std::vector<NodeId> randomCrashOrder(const Graph &G, Rng &Rand) {
   return Order;
 }
 
+/// A core::NodeHost that discards every effect: the observer node's
+/// max_view is all the test reads.
+struct SilentHost final : core::NodeHost {
+  void multicast(NodeId, const Region &, const core::Message &) override {}
+  void monitorCrash(NodeId, const Region &) override {}
+  void decide(NodeId, const Region &, core::Value) override {}
+  core::Value selectValue(NodeId, const Region &) override { return 0; }
+};
+
 } // namespace
 
 TEST(IncrementalComponentsTest, SingleCrashIsItsOwnComponent) {
@@ -267,12 +276,9 @@ TEST(IncrementalComponentsTest, NodeMaxViewIsACurrentComponentWithLazyBorder) {
       core::ViewTable Views(G, Kind);
       core::Config Cfg;
       Cfg.Ranking = Kind;
-      core::Callbacks CBs;
-      CBs.Multicast = [](const Region &, const core::Message &) {};
-      CBs.MonitorCrash = [](const Region &) {};
-      CBs.Decide = [](const Region &, core::Value) {};
-      CBs.SelectValue = [](const Region &) { return core::Value(0); };
-      core::CliffEdgeNode Node(Self, G, Views, Cfg, std::move(CBs));
+      SilentHost Host;
+      core::NodeContext Ctx(G, Views, Cfg, Host);
+      core::CliffEdgeNode Node(Self, Ctx);
       Node.start();
 
       Region Crashed, Monitored = G.border(Region{Self}), BatchMax;

@@ -75,8 +75,8 @@ TEST(LossyChurnService, BackendsAgreeUnderLoss) {
 
   scenario::JobOutcome Des =
       scenario::CampaignRunner::runOneJob(backendVariant(S, "des"), Seed);
-  scenario::JobOutcome Sharded = scenario::CampaignRunner::runOneJob(
-      backendVariant(S, "sharded"), Seed, /*EngineWorkers=*/2);
+  scenario::JobOutcome Sharded =
+      scenario::CampaignRunner::runOneJob(backendVariant(S, "sharded"), Seed);
 
   ASSERT_TRUE(Des.Ran) << Des.Error;
   ASSERT_TRUE(Sharded.Ran) << Sharded.Error;

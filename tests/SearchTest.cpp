@@ -9,8 +9,8 @@
 /// The search plane's contracts, from the bottom up: applyPerturbation
 /// keeps any mutation stream — however hostile — inside a legal crash
 /// plan; Perturbation records round-trip losslessly through the .scn
-/// format; a perturbed execution replays bit-for-bit on both backends and
-/// at any sharded worker count; the null perturbation is byte-identical
+/// format; a perturbed execution replays bit-for-bit on both backends;
+/// the null perturbation is byte-identical
 /// to the unhooked data path; a hunt's result is a pure function of its
 /// options at any --jobs value; and the headline acceptance — the hunter
 /// finds the purelex seed-5 verdict flip, the delta-debugger shrinks it,
@@ -18,7 +18,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "engine/ShardedEngine.h"
 #include "scenario/Parse.h"
 #include "scenario/Spec.h"
 #include "search/Hunter.h"
@@ -244,43 +243,6 @@ TEST(SearchReplay, PerturbedRunIsBitIdenticalAcrossReplays) {
     EXPECT_EQ(A.FaultyHash, C.FaultyHash) << engine::backendName(B);
     EXPECT_EQ(A.Retransmits, C.Retransmits) << engine::backendName(B);
     EXPECT_EQ(A.DecisionCount, C.DecisionCount) << engine::backendName(B);
-  }
-}
-
-TEST(SearchReplay, PerturbedShardedRunIndependentOfWorkers) {
-  scenario::Spec V = firstVariant(loadScenario("purelex_ablation.scn"));
-  V.Perturb.TieBias = 0xbeef;
-  V.Perturb.LinkSalt = 0x9;
-  V.Perturb.HasLink = true;
-  std::string LinkErr;
-  ASSERT_TRUE(
-      net::parseLinkCompact("drop:0.3,dup:0.02", V.Perturb.Link, LinkErr))
-      << LinkErr;
-  scenario::MaterializedRun RunA, RunB;
-  std::string Err;
-  ASSERT_TRUE(scenario::materializeSingle(V, 5, RunA, Err)) << Err;
-  ASSERT_TRUE(scenario::materializeSingle(V, 5, RunB, Err)) << Err;
-  engine::EngineOptions One, Three;
-  One.Workers = 1;
-  Three.Workers = 3;
-  engine::ShardedEngine EngOne(One), EngThree(Three);
-  engine::EngineJob JobA{&RunA.Topo->G, &RunA.Plan, RunA.Options, 5};
-  engine::EngineJob JobB{&RunB.Topo->G, &RunB.Plan, RunB.Options, 5};
-  engine::EngineResult A = EngOne.run(JobA);
-  engine::EngineResult B = EngThree.run(JobB);
-  EXPECT_EQ(A.Events, B.Events);
-  EXPECT_EQ(A.FinalMaxViews, B.FinalMaxViews);
-  ASSERT_EQ(A.Decisions.size(), B.Decisions.size());
-  for (size_t I = 0; I < A.Decisions.size(); ++I) {
-    EXPECT_EQ(A.Decisions[I].Node, B.Decisions[I].Node);
-    EXPECT_EQ(A.Decisions[I].View, B.Decisions[I].View);
-    EXPECT_EQ(A.Decisions[I].When, B.Decisions[I].When);
-  }
-  ASSERT_EQ(A.SendLog.size(), B.SendLog.size());
-  for (size_t I = 0; I < A.SendLog.size(); ++I) {
-    EXPECT_EQ(A.SendLog[I].When, B.SendLog[I].When);
-    EXPECT_EQ(A.SendLog[I].From, B.SendLog[I].From);
-    EXPECT_EQ(A.SendLog[I].To, B.SendLog[I].To);
   }
 }
 

@@ -12,8 +12,7 @@
 /// the precomputed-rank-key comparison agrees with the uninterned
 /// graph::rankedLess relation on every pair, for every RankingKind,
 /// across 1000 random regions. A threaded section hammers concurrent
-/// intern + lock-free get, which is how the sharded engine and the
-/// threaded runtime use the table.
+/// intern + lock-free get, the table's thread-safety contract.
 ///
 //===----------------------------------------------------------------------===//
 

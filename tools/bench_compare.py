@@ -14,7 +14,7 @@ repo's BENCH_micro.json schema (see bench/README.md):
     "schema": 1,
     "benchmarks": {"<name>": {"ns": <real_time ns per iteration>}, ...},
     "derived": {"crash_burst_allocs_per_crash_<arg>": <allocations>,
-                "wire_v1_over_v2_encode_<arg>": ..., ...}
+                "wire_v3_frame_bytes_<arg>": <bytes>, ...}
   }
 
 When a baseline file exists, every benchmark present in both runs is
@@ -167,41 +167,20 @@ def distill(gbench):
                               "allocs_per_crash"))
         if value is not None:
             derived[f"crash_burst_allocs_per_crash_{arg}"] = round(value, 3)
-    for arg in (4, 32, 256):
-        ratio(
-            f"BM_WireEncodeV1/{arg}",
-            f"BM_WireEncode/{arg}",
-            f"wire_v1_over_v2_encode_{arg}",
-        )
     for arg in (8, 64, 512):
         ratio(
             f"BM_RegionUnion/{arg}",
             f"BM_RegionUnionInPlace/{arg}",
             f"region_union_alloc_over_inplace_{arg}",
         )
-    # The id-only v3 steady-state frames against the full-region v2 layout
-    # (time ratios, informational: see INFO_RATIOS).
-    for arg in (4, 32, 256):
-        ratio(
-            f"BM_WireEncode/{arg}",
-            f"BM_WireEncodeV3/{arg}",
-            f"wire_v2_over_v3_encode_{arg}",
-        )
-        ratio(
-            f"BM_WireDecode/{arg}",
-            f"BM_WireDecodeV3/{arg}",
-            f"wire_v2_over_v3_decode_{arg}",
-        )
     # End-to-end engines on the 100k-node quake storm. Protocol work is
-    # identical code on both sides, so on a single-core machine this ratio
-    # only reflects the delivery-layer differences; with >= 4 real cores
-    # the jobs4 variant additionally parallelises shard rounds.
-    for jobs in (1, 4):
-        ratio(
-            "BM_EngineQuakeStorm_Des",
-            f"BM_EngineQuakeStorm_Sharded/{jobs}",
-            f"engine_quake_des_over_sharded_jobs{jobs}",
-        )
+    # identical code on both sides, so this ratio only reflects the
+    # delivery-layer differences.
+    ratio(
+        "BM_EngineQuakeStorm_Des",
+        "BM_EngineQuakeStorm_Sharded",
+        "engine_quake_des_over_sharded",
+    )
     # Fault-plane gates. BM_ReliableChannelOverhead_Raw runs the exact
     # workload of BM_ScenarioCrashBurst/6 through the `link none`
     # configuration, so any cost leaking into the zero-loss bypass (the
@@ -328,13 +307,6 @@ def distill(gbench):
 # the history only (the distill() comments say the same).
 WALL_CLOCK_DERIVED = {"engine_quake_des_speedup_vs_pr3"}
 
-# Within-run time ratios kept for the history only. The legacy wire
-# encoders against the live v3 path read 1.79 against a floor of 2 on
-# unchanged code; the deterministic wire_v3_* counts gate that path now.
-INFO_RATIOS = {f"wire_{pair}_{arg}" for arg in (4, 32, 256)
-               for pair in ("v1_over_v2_encode", "v2_over_v3_encode",
-                            "v2_over_v3_decode")}
-
 # Derived metrics where *lower* is better (sizes, times), unlike the
 # speedup ratios above: baseline comparison flags a rise past the
 # threshold and treats any drop as an improvement. engine_million_des_ms
@@ -415,8 +387,6 @@ def compare(baseline, fresh, threshold, absolute="gate"):
         if drop > threshold:
             if name in WALL_CLOCK_DERIVED:
                 marker = "  <-- slower (informational: wall-clock pinned)"
-            elif name in INFO_RATIOS:
-                marker = "  <-- slower (informational: time ratio)"
             else:
                 marker = "  <-- REGRESSION"
                 regressions.append(

@@ -80,14 +80,13 @@ void usage(const char *Prog) {
       "  --scenario FILE      load a declarative .scn scenario\n"
       "                       (format reference: docs/scenario-format.md)\n"
       "  --campaign           run the file's full seed range and sweeps\n"
-      "  --jobs N             campaign worker threads; for a single\n"
-      "                       --backend sharded run, its shard workers\n"
-      "                       (default 1)\n"
+      "  --jobs N             campaign and hunt worker threads (default\n"
+      "                       1); a single run ignores it\n"
       "  --backend KIND       execution engine: des | sharded; overrides\n"
       "                       the spec's `backend` directive. Outcomes are\n"
       "                       backend-independent (differentially tested),\n"
-      "                       and sharded runs replay identically for any\n"
-      "                       --jobs value (deterministic merge)\n"
+      "                       and every run replays identically for its\n"
+      "                       (spec, seed) pair\n"
       "  --transport KIND     sim | proc; overrides the spec's `transport`\n"
       "                       directive. proc runs the world as real\n"
       "                       cliffedge-node processes over UDP loopback\n"
@@ -898,10 +897,7 @@ int main(int argc, char **argv) {
 
   // One execution path for every backend: build the engine named by the
   // spec (or --backend) and hand it the materialized job.
-  engine::EngineOptions EngOpts;
-  EngOpts.Workers = Jobs;
-  std::unique_ptr<engine::Engine> Eng =
-      engine::makeEngine(Variant.Backend, EngOpts);
+  std::unique_ptr<engine::Engine> Eng = engine::makeEngine(Variant.Backend);
   engine::EngineJob Job;
   Job.G = &Run.Topo->G;
   Job.Plan = &Run.Plan;
