@@ -56,10 +56,12 @@ using namespace cliffedge;
 // assert the steady-state data plane runs allocation-free (gated as
 // round_processing_allocs_per_msg <= 0); BM_IdleJob uses the bytes to
 // assert an idle job's cost does not scale with the world (gated as
-// idle_job_alloc_mb) and BM_WorldBuild to gate one world build's bytes
-// (world_build_alloc_mb); BM_DenseStormJob and its sharded twin divide
-// the count by processed events (gated as dense_job_allocs_per_event and
-// _sharded), BM_CrashBurst_Incremental by crashes
+// idle_job_alloc_mb), BM_OutageJob to compare the engines' failure-wave
+// bytes (outage_wave_alloc_sharded_over_des) and BM_WorldBuild to gate
+// one world build's bytes (world_build_alloc_mb); BM_DenseStormJob and
+// its sharded twin divide the count by processed events (gated as
+// dense_job_allocs_per_event and _sharded), BM_CrashBurst_Incremental by
+// crashes
 // (crash_burst_allocs_per_crash_<side>), BM_WireEncodeV3/BM_WireDecodeV3
 // by calls (wire_v3_encode_allocs_<arg>, wire_v3_decode_allocs_<arg>);
 // the crash-burst benches record it per run so the zero-loss bypass is
@@ -173,36 +175,71 @@ BENCHMARK(BM_EngineMillion_Des)->Unit(benchmark::kMillisecond)->Iterations(1);
 // of EngineResult. The alloc_mb counter is the heap bytes requested per
 // job (operator-new hook, deterministic on any host); bench_compare turns
 // the larger backend's into idle_job_alloc_mb and gates it.
-void BM_IdleJob(benchmark::State &State, engine::BackendKind Kind) {
+void runMillionTorusJob(benchmark::State &State, engine::BackendKind Kind,
+                        const workload::CrashPlan &Plan) {
   static const graph::Graph G = graph::makeTorus(1000, 1000);
   std::unique_ptr<engine::Engine> Eng = engine::makeEngine(Kind);
-  workload::CrashPlan Empty;
   uint64_t Bytes = 0;
   bool Ok = true;
   for (auto _ : State) {
     engine::EngineJob Job;
     Job.G = &G;
-    Job.Plan = &Empty;
+    Job.Plan = &Plan;
+    Job.Seed = 1;
     GAllocBytes.store(0, std::memory_order_relaxed);
     GAllocCounting.store(true, std::memory_order_relaxed);
     {
       engine::EngineResult R = Eng->run(Job);
       trace::CheckResult C = trace::checkAll(engine::toCheckInput(R, G));
-      Ok = Ok && R.Quiesced && R.Decisions.empty() && C.Ok;
+      // An idle job decides nothing; an outage job must decide.
+      Ok = Ok && R.Quiesced && C.Ok &&
+           R.Decisions.empty() == Plan.Crashes.empty();
     }
     GAllocCounting.store(false, std::memory_order_relaxed);
     Bytes = GAllocBytes.load(std::memory_order_relaxed);
   }
   if (!Ok) {
-    State.SkipWithError("idle job did not quiesce cleanly");
+    State.SkipWithError("job did not quiesce with a clean check");
     return;
   }
   State.counters["alloc_mb"] =
       static_cast<double>(Bytes) / (1024.0 * 1024.0);
 }
+
+void BM_IdleJob(benchmark::State &State, engine::BackendKind Kind) {
+  runMillionTorusJob(State, Kind, workload::CrashPlan());
+}
 BENCHMARK_CAPTURE(BM_IdleJob, des, engine::BackendKind::Des)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_IdleJob, sharded, engine::BackendKind::Sharded)
+    ->Unit(benchmark::kMillisecond);
+
+// -- Outage job: what a local failure wave costs ------------------------------
+//
+// The idle job's world hit by eight 3x3 outages at t=100, each in its own
+// band of rows. The paper's locality premise says a job pays for the nodes
+// its failures touch, so the bytes this job requests above the idle job's
+// are the failure wave's cost, and both engines host their nodes on one
+// NodeId-keyed paged store: their waves should cost about the same.
+// bench_compare divides the sharded wave by the DES wave
+// (outage_wave_alloc_sharded_over_des) and gates the ratio. A store
+// striped by shard would materialize a page in nearly every stripe per
+// outage and show up as a ratio near 2.
+void BM_OutageJob(benchmark::State &State, engine::BackendKind Kind) {
+  static const workload::CrashPlan Plan = [] {
+    workload::CrashPlan P;
+    for (uint32_t I = 0; I < 8; ++I)
+      for (uint32_t Row = 0; Row < 3; ++Row)
+        for (uint32_t Col = 0; Col < 3; ++Col)
+          P.Crashes.push_back(workload::TimedCrash{
+              (50 + 120 * I + Row) * 1000 + 100 + 100 * I + Col, 100});
+    return P;
+  }();
+  runMillionTorusJob(State, Kind, Plan);
+}
+BENCHMARK_CAPTURE(BM_OutageJob, des, engine::BackendKind::Des)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OutageJob, sharded, engine::BackendKind::Sharded)
     ->Unit(benchmark::kMillisecond);
 
 // -- World build: one million-node torus ---------------------------------------

@@ -27,15 +27,9 @@ EngineResult DesEngine::run(const EngineJob &Job) {
   R.Events = Runner.run();
   R.Quiesced = Runner.simulator().idle();
   R.Faulty = Runner.faultySet();
-  // Scatter the plan's crashes; no per-node walk.
-  R.CrashTimes.assign(Job.G->numNodes(), TimeNever);
-  for (NodeId N : R.Faulty)
-    R.CrashTimes[N] = *Runner.crashTime(N);
+  R.CrashTimes = Runner.hostCore().crashTimes();
   R.Stats = Runner.netStats();
-  Runner.forEachTouchedNode([&R](const core::CliffEdgeNode &Node) {
-    if (!Node.maxView().empty())
-      R.FinalMaxViews.emplace_back(Node.id(), Node.maxView());
-  });
+  R.FinalMaxViews = Runner.hostCore().finalMaxViews();
   // The runner dies with this scope: move its logs out instead of copying.
   R.Decisions = Runner.takeDecisions();
   R.SendLog = Runner.takeSendLog();

@@ -9,7 +9,8 @@
 /// The reference backend: a thin adapter running one EngineJob through the
 /// single-threaded deterministic discrete-event stack (sim::Simulator +
 /// sim::Network + detector::PerfectFailureDetector via
-/// trace::ScenarioRunner) and harvesting its products into an EngineResult.
+/// trace::ScenarioRunner, which hosts the nodes on trace::HostCore) and
+/// harvesting its products into an EngineResult with the core's harvest.
 /// Behaviour is bit-identical to driving ScenarioRunner directly, so
 /// routing the campaign and CLI paths through the engine interface changed
 /// no observable output.

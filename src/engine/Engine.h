@@ -15,10 +15,12 @@
 ///  * DesEngine (engine/DesEngine.h) wraps the single-threaded deterministic
 ///    discrete-event simulator (trace::ScenarioRunner) — the reference
 ///    interleaving source;
-///  * ShardedEngine (engine/ShardedEngine.h) partitions the nodes over N
-///    shards on one run-wide event calendar, runs each round's busy shards
-///    in shard order and merges their cross-shard output in a seeded
+///  * ShardedEngine (engine/ShardedEngine.h) keys the nodes' events by N
+///    logical shards on one run-wide event calendar, runs each round in
+///    (shard, key, sequence) order and merges its output in a seeded
 ///    deterministic order, so every run replays.
+///
+/// Both host their nodes on trace::HostCore (trace/HostCore.h).
 ///
 /// Running both backends on the same (spec, seed) and comparing CD1..CD7
 /// verdicts plus the final per-node max_views turns every scenario into a
@@ -86,7 +88,7 @@ struct EngineJob {
 };
 
 /// One node's max_view at quiescence (see EngineResult::FinalMaxViews).
-using NodeMaxView = std::pair<NodeId, graph::Region>;
+using NodeMaxView = trace::NodeMaxView;
 
 /// Everything a finished run produced, as plain data. trace::Timeline and
 /// trace::Checker consume it via toCheckInput().

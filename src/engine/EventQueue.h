@@ -10,10 +10,9 @@
 /// per-timestamp buckets. The engine's round discipline (events are only
 /// *taken* at the start of a round and only *pushed* during the merge)
 /// means the queue never interleaves the two, so a whole round is drained
-/// as one batch: the earliest bucket is sorted once by (owning shard,
-/// tie-break key, sequence) and handed to the caller as a flat array in
-/// which every shard's events form one contiguous slice, in exactly the
-/// order that shard processes them.
+/// as one batch: the earliest bucket is sorted once by (recipient's shard,
+/// tie-break key, sequence) and handed to the caller as a flat array, in
+/// exactly the order the round processes it.
 ///
 /// Costs per event: an O(1) bucket append at push (a ring slot found by
 /// index arithmetic; only a timestamp beyond the ring window, such as a
@@ -60,15 +59,13 @@ struct Event {
   const core::Message *Msg = nullptr;
   NodeId From = InvalidNode;
   NodeId To = InvalidNode;
-  /// The shard owning \c To: the calendar's first sort key, set when the
-  /// event is scheduled so the round sort never divides.
+  /// \c To's shard: the calendar's first sort key, set when the event is
+  /// scheduled so the round sort never divides.
   uint32_t Shard = 0;
   /// Fault plane only: the dense id of the data channel the event belongs
-  /// to (a Deliver's own channel; the channel an ack retires).
+  /// to (a Deliver's own channel, which also addresses its receive half;
+  /// the channel an ack retires).
   uint32_t Chan = NoChannel;
-  /// Fault plane Deliver: the channel's receive half in the recipient's
-  /// shard table.
-  uint32_t RecvSlot = 0;
   /// Fault plane only (zero otherwise): the channel sequence stamped on a
   /// Deliver, and the piggybacked / pure cumulative ack.
   uint32_t ChanSeq = 0;

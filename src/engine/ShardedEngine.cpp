@@ -7,42 +7,38 @@
 //
 // Execution model
 // ---------------
-// Nodes are statically partitioned over S logical shards (node % S). Each
-// shard owns a paged store of its nodes' state indexed by node / S: a page
-// materializes on the first write to one of its nodes, so a job pays for
-// the nodes its failures touch, not for the world. Pending events of all
-// shards share one run-wide calendar (engine/EventQueue.h) of plain-struct
-// events. The whole run is single-threaded; the shards exist because they
-// fix the merge order, and with it the replay. A run alternates two
-// phases:
+// Nodes are hosted on the run's trace::HostCore, the node store, codec and
+// crash intake the DES runner uses too. Pending events share one run-wide
+// calendar (engine/EventQueue.h) of plain-struct events. The whole run is
+// single-threaded. A node's shard (node % S, for S logical shards) is only
+// the first sort key of its events: it fixes the merge order, and with it
+// the replay. A run alternates two phases:
 //
 //  * process: the calendar hands over every event carrying the earliest
-//    timestamp T, sorted by (shard, tie-break key, sequence), so each shard
-//    with work — a *busy* shard — owns one contiguous slice of the round
-//    and drains it in (key, sequence) order, busy shards in ascending
-//    order. Handlers only touch the acting node's state and append outputs
-//    (messages, detector subscriptions, executed crashes, decisions) to
-//    the run's one outbox. Nothing a handler emits takes effect before the
-//    merge, so events of one round never see each other's outputs. Idle
-//    shards cost nothing.
+//    timestamp T, sorted by (shard of the recipient, tie-break key,
+//    sequence), and the round runs them in that order. Handlers only
+//    touch the acting node's state and append outputs (messages, detector
+//    subscriptions, executed crashes, decisions) to the run's one outbox.
+//    Nothing a handler emits takes effect before the merge, so events of
+//    one round never see each other's outputs.
 //
-//  * merge: the outbox is drained in production order — ascending shard,
-//    event order within a shard — one linear pass per output kind.
-//    Crashes notify subscribed watchers, subscriptions to
-//    already-crashed targets notify immediately (the exactly-once
-//    discipline of detector::PerfectFailureDetector), and each multicast
-//    frame is decoded once, into the message attached to its pooled
-//    buffer, and fanned out to its recipients with per-channel FIFO
-//    clamping, exactly like sim::Network. Every new event draws its
-//    tie-break key from a SplitMix64 stream seeded by the job, in this
-//    deterministic (time, shard, seq) merge order — which makes the run
-//    replayable for a (spec, seed) pair while exploring an interleaving
-//    genuinely different from the DES backend's.
+//  * merge: the outbox is drained in production order — the round's
+//    event order — one linear pass per output kind. Crashes notify
+//    subscribed watchers, subscriptions to already-crashed targets notify
+//    immediately (the exactly-once discipline of
+//    detector::PerfectFailureDetector), and each multicast frame is
+//    decoded once, into the message attached to its pooled buffer, and
+//    fanned out to its recipients with per-channel FIFO clamping, exactly
+//    like sim::Network. Every new event draws its tie-break key from a
+//    SplitMix64 stream seeded by the job, in this deterministic (time,
+//    shard, seq) merge order — which makes the run replayable for a (spec,
+//    seed) pair while exploring an interleaving genuinely different from
+//    the DES backend's.
 //
 // Events at one timestamp on *different* nodes commute: a handler reads and
 // writes only its own node's protocol state, and everything it emits is
 // ordered by the merge, not by handler completion. Events on the *same*
-// node land in the same shard and run in deterministic calendar order.
+// node share a shard and run in deterministic calendar order.
 //
 // Fault plane (RunnerOptions::Link active)
 // ----------------------------------------
@@ -58,17 +54,18 @@
 //    and its due timers run in the merge, in (sender's shard, key, seq)
 //    order — the key and sequence drawn at arm time exactly as for a
 //    calendar event — and count as processed events;
-//  * every *receive-side* state (dedup, reorder buffers) lives in the
-//    recipient's shard and is touched only by that shard's handlers.
+//  * every *receive-side* state (dedup, reorder buffers) is touched only
+//    by the recipient's handlers; the merge reads its cumulative counter
+//    (piggyback acks) between rounds.
 //
 // Channel state is flat and index-addressed. A directed channel gets a
 // dense id at its first send (one channelKey -> id map, probed only by the
-// merge's send path); its send half lives in the run's channel table, its
-// receive half in the recipient shard's table, and its unacked frames in
-// one run-wide window pool. Events and staged acks and timers carry the
-// id, so nothing downstream of the first send hashes. Each channel is
-// threaded on its endpoints' per-node lists, and a crash purges exactly
-// the crashed node's channels.
+// merge's send path); its send half and its receive half live in two
+// run-wide tables under that id, and its unacked frames in one run-wide
+// window pool. Events and staged acks and timers carry the id, so nothing
+// downstream of the first send hashes. Each channel is threaded on its
+// endpoints' per-node lists, and a crash purges exactly the crashed node's
+// channels.
 //
 // All link-model draws happen in deterministic merge order, so lossy runs
 // replay bit-for-bit, exactly like zero-loss ones.
@@ -81,8 +78,6 @@
 #include "engine/ShardedEngine.h"
 
 #include "core/CliffEdgeNode.h"
-#include "core/ViewTable.h"
-#include "core/Wire.h"
 #include "detector/SubscriptionRegistry.h"
 #include "engine/EventQueue.h"
 #include "net/Channel.h"
@@ -91,12 +86,11 @@
 #include "support/FramePool.h"
 #include "support/PagedStore.h"
 #include "support/Random.h"
+#include "trace/HostCore.h"
 #include "trace/StreamingChecker.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace cliffedge;
 using namespace cliffedge::engine;
@@ -120,13 +114,6 @@ struct OutMsg {
 struct OutSub {
   NodeId Watcher;
   NodeId Target;
-};
-
-/// The merge's decoded form of a multicast frame, attached to its pooled
-/// buffer: decoded once, read by every leg, and recycled (warm opinion
-/// storage) with the buffer.
-struct ParsedFrame final : support::FrameAttachment {
-  core::Message Msg;
 };
 
 /// A frame a channel holds (send window, receive buffer): the handle keeps
@@ -166,12 +153,11 @@ struct Timer {
 };
 
 /// Send half of one directed channel, plus the links that replace hashing:
-/// its receive half, its reverse channel and its endpoints' channel lists.
-/// Merge-only. Unacked frames live in RunState::Window, ascending by seq.
+/// its reverse channel and its endpoints' channel lists. Merge-only.
+/// Unacked frames live in RunState::Window, ascending by seq.
 struct Channel {
   NodeId From;
   NodeId To;
-  uint32_t RecvSlot;              ///< Receive half in shardOf(To)'s table.
   uint32_t Reverse = NoChannel;   ///< Channel To -> From, once it exists.
   uint32_t NextOfFrom = NoChannel; ///< Next channel on From's list.
   uint32_t NextOfTo = NoChannel;   ///< Next channel on To's list.
@@ -196,38 +182,17 @@ struct WindowEntry {
   Leg Payload;
 };
 
-/// One node's engine state, kept in its shard's paged store.
+/// What the engine keeps per node beside the host core's slot, in its own
+/// paged store keyed by NodeId.
 struct NodeSlot {
-  /// Unbound until the node's first event; then bound and started.
-  core::CliffEdgeNode Node;
-  /// Announce-once wire state.
-  core::WireEncoder Encoder;
-  /// The plan's crash time (TimeNever for correct nodes).
-  SimTime CrashTime = TimeNever;
   /// Set when the node's CrashExec fires.
   bool Dead = false;
   /// Head of the node's channel list (fault plane; merge-only).
   uint32_t Channels = NoChannel;
 };
 
-/// Per-shard state: owned nodes and their receive-side channel state.
-struct Shard {
-  /// The shard's nodes, indexed by NodeId / NumShards.
-  support::PagedStore<NodeSlot> Slots;
-  /// Receive halves of every channel whose recipient this shard owns,
-  /// indexed by Channel::RecvSlot. Appended by the merge; during rounds
-  /// only this shard's handlers touch them, and the merge reads
-  /// cumulative counters (piggyback acks) between rounds.
-  std::vector<RecvHalf> Recv;
-  std::vector<Leg> Released;   ///< accept() scratch.
-  net::ChannelStats ChanStats; ///< Receive-side counters (dedup/reorder).
-  uint64_t Delivered = 0;
-  uint64_t Dropped = 0;
-};
-
-/// The outputs of a round, appended in processing order (ascending shard,
-/// event order within a shard); the merge drains the queues in that order
-/// and clears them.
+/// The outputs of a round, appended in the round's event order; the merge
+/// drains the queues in that order and clears them.
 struct Outbox {
   std::vector<NodeId> Crashed;
   std::vector<OutSub> Subs;
@@ -247,18 +212,11 @@ struct Outbox {
   }
 };
 
-/// A busy shard's events within the drained round.
-struct ShardSlice {
-  uint32_t Shard;
-  uint32_t Begin;
-  uint32_t End;
-};
-
 struct RunState;
 
-/// The engine's core::NodeHost: one stateless object serves every node of
-/// every shard. Each effect arrives tagged with the acting node's id and
-/// lands in the run's outbox.
+/// The engine's core::NodeHost: one stateless object serves every node.
+/// Each effect arrives tagged with the acting node's id and lands in the
+/// run's outbox.
 struct ShardHost final : core::NodeHost {
   explicit ShardHost(RunState &R) : R(R) {}
   void multicast(NodeId From, const graph::Region &To,
@@ -272,34 +230,29 @@ struct ShardHost final : core::NodeHost {
 
 /// Whole-run state.
 struct RunState {
-  const graph::Graph &G;
   const trace::RunnerOptions &Opts;
   uint32_t NumShards;
-  /// ceil(2^64 / NumShards): shardOf and the store index divide by
-  /// multiplying (Lemire, Kaser & Kurz, "Faster Remainder by Direct
-  /// Computation", 2019), exact for every 32-bit node id, so the per-event
-  /// node lookups pay no hardware divide.
+  /// ceil(2^64 / NumShards): shardOf divides by multiplying (Lemire, Kaser
+  /// & Kurz, "Faster Remainder by Direct Computation", 2019), exact for
+  /// every 32-bit node id, so keying an event pays no hardware divide.
   unsigned __int128 ShardMagic;
-  /// Run-wide view intern table: handlers intern views in event order,
-  /// so view ids — and the varint sizes of id-only frames — replay.
-  core::ViewTable Views;
-  /// Frame recycler for every multicast. Declared before everything that
-  /// holds frames, so every frame is released before the pool goes away.
-  support::FramePool Frames;
-  std::vector<Shard> Shards;
-  Outbox Out;
   ShardHost Host;
-  /// The run's one execution domain: every node binds to it on first
-  /// touch. Declared after Views and Host, which it refers to.
-  core::NodeContext Ctx;
+  /// Node store, codec and crash intake. Declared before everything that
+  /// holds frames, so every frame is released before its pool goes away.
+  trace::HostCore Core;
+  support::PagedStore<NodeSlot> Nodes;
+  /// Receive halves, by channel id. Appended by the merge; during rounds
+  /// only the recipient's handlers touch them, and the merge reads
+  /// cumulative counters (piggyback acks) between rounds.
+  std::vector<RecvHalf> Recv;
+  std::vector<Leg> Released; ///< accept() scratch.
+  Outbox Out;
 
-  /// Every pending event of every shard.
+  /// Every pending event.
   EventQueue Calendar;
-  /// The round being processed, drained from the calendar: one
-  /// contiguous slice per busy shard.
+  /// The round being processed, drained from the calendar.
   std::vector<Event> Round;
-  std::vector<ShardSlice> Busy; ///< Ascending by shard.
-  SimTime Now = 0;              ///< Timestamp of the round being processed.
+  SimTime Now = 0; ///< Timestamp of the round being processed.
   /// Armed retransmit timers, in due order from TimerHead; the round's due
   /// ones are [TimerHead, DueEnd), sorted by (shard, key, seq).
   std::vector<Timer> Timers;
@@ -311,15 +264,15 @@ struct RunState {
   uint64_t TieSeed; ///< Channel tie-key seed, fixed for the whole run.
   uint64_t NextSeq = 0;
   U64FlatMap<SimTime> LastDelivery; ///< FIFO clamp, as in sim::Network.
-  /// Graph-backed (the start merge subscribes every node to its border
-  /// before any crash executes): adjacency is the implicit table, only
-  /// non-adjacent extras are stored. Watcher enumeration stays in the
+  /// Graph-backed (every node's <init> subscribes it to its neighbours,
+  /// which the topology already records): adjacency is the implicit
+  /// table, only non-adjacent extras are stored. Watcher enumeration stays in the
   /// same ascending order as the old explicit lists, so the merge's
   /// tie-break RNG stream — and with it the whole replay — is unchanged.
   detector::SubscriptionRegistry Regs;
   EngineResult Result;
 
-  // Fault plane (merge-side except the per-shard receive halves above).
+  // Fault plane (merge-side except the receive halves above).
   bool PlaneOn;
   bool Arq; ///< Faults present: full ARQ, no FIFO clamp.
   std::unique_ptr<net::LinkModel> Link;
@@ -330,14 +283,13 @@ struct RunState {
   std::vector<Channel> Chans; ///< Send halves, by dense id.
   std::vector<WindowEntry> Window; ///< Unacked frames of every channel.
   uint32_t FreeWindow = NoChannel; ///< Free-list head in Window.
-  net::ChannelStats ChanStats; ///< Send-side counters.
+  net::ChannelStats ChanStats;
 
   RunState(const graph::Graph &InG, const trace::RunnerOptions &InOpts,
            uint32_t InShards, uint64_t Seed)
-      : G(InG), Opts(InOpts), NumShards(InShards),
+      : Opts(InOpts), NumShards(InShards),
         ShardMagic((((unsigned __int128)1 << 64) + InShards - 1) / InShards),
-        Views(InG, InOpts.NodeConfig.Ranking), Shards(InShards),
-        Host(*this), Ctx(InG, Views, InOpts.NodeConfig, Host),
+        Host(*this), Core(InG, InOpts, Host), Nodes(InG.numNodes()),
         MergeRng(Seed ^ 0x5368617264456e67ULL /* "ShardEng" */),
         TieSeed(SplitMix64(Seed ^ 0x4669666f54696523ULL).next()),
         Regs(InG),
@@ -356,11 +308,6 @@ struct RunState {
     }
     if (PlaneOn)
       Link.reset(new net::LinkModel(InOpts.Link, Seed, InOpts.LinkSalt));
-    // Shard s owns nodes s, s + S, s + 2S, ...: ceil((N - s) / S) slots.
-    for (uint32_t S = 0; S < InShards; ++S)
-      Shards[S].Slots = support::PagedStore<NodeSlot>(
-          S < InG.numNodes() ? (InG.numNodes() - S + InShards - 1) / InShards
-                             : 0);
   }
 
   /// N % NumShards.
@@ -368,31 +315,6 @@ struct RunState {
     uint64_t Fraction = static_cast<uint64_t>(ShardMagic * N);
     return static_cast<uint32_t>(((unsigned __int128)Fraction * NumShards) >>
                                  64);
-  }
-  /// N / NumShards: \p N's index in its shard's store.
-  uint32_t indexInShard(NodeId N) const {
-    return static_cast<uint32_t>((ShardMagic * N) >> 64);
-  }
-
-  /// Read-only view of \p N's slot (pristine when never written).
-  const NodeSlot &slot(NodeId N) const {
-    return Shards[shardOf(N)].Slots[indexInShard(N)];
-  }
-  /// Writable slot of \p N (materializes its page).
-  NodeSlot &slotMut(NodeId N) {
-    return Shards[shardOf(N)].Slots.mut(indexInShard(N));
-  }
-
-  /// The node about to handle an event: binds and starts it on first
-  /// touch (<init> only re-subscribes implicit neighbour pairs under the
-  /// graph-backed registry, so deferring it is unobservable).
-  core::CliffEdgeNode &liveNode(NodeId N) {
-    NodeSlot &S = slotMut(N);
-    if (!S.Node.started()) {
-      S.Node = core::CliffEdgeNode(N, Ctx);
-      S.Node.start();
-    }
-    return S.Node;
   }
 
   /// Files \p E, fully keyed, under its recipient's shard.
@@ -428,23 +350,16 @@ struct RunState {
 
   /// Opens the round at the earliest pending timestamp, of the calendar
   /// or of the timer FIFO: drains the calendar's events at that time into
-  /// Round, slices them by shard, and sorts the timers due then. Returns
-  /// the round's event count, due timers included.
+  /// Round and sorts the timers due then. Returns the round's event count,
+  /// due timers included.
   uint64_t beginRound() {
     SimTime CalendarTime = Calendar.nextTime();
     Now = CalendarTime;
     if (TimerHead < Timers.size() && Timers[TimerHead].When < Now)
       Now = Timers[TimerHead].When;
-    Busy.clear();
     Round.clear();
     if (CalendarTime == Now)
       Calendar.takeRound(Round);
-    uint32_t Size = static_cast<uint32_t>(Round.size());
-    for (uint32_t I = 0; I < Size; ++I)
-      if (Busy.empty() || Busy.back().Shard != Round[I].Shard)
-        Busy.push_back(ShardSlice{Round[I].Shard, I, I + 1});
-      else
-        Busy.back().End = I + 1;
     for (DueEnd = TimerHead;
          DueEnd < Timers.size() && Timers[DueEnd].When == Now; ++DueEnd)
       ;
@@ -456,10 +371,10 @@ struct RunState {
                   return A.Key < B.Key;
                 return A.Seq < B.Seq;
               });
-    return Size + (DueEnd - TimerHead);
+    return Round.size() + (DueEnd - TimerHead);
   }
 
-  void processShard(const ShardSlice &Slice);
+  void processRound();
   void merge(SimTime T);
   /// Sends one multicast leg whose frame decodes to \p Msg: accounting,
   /// then the channel sublayer or the FIFO clamp, then the calendar.
@@ -469,8 +384,8 @@ struct RunState {
   // --- Fault-plane helpers (merge phase only) ------------------------------
 
   /// The dense id of channel (From -> To), assigned on its first send:
-  /// the channel gets its receive half in the recipient's shard, joins
-  /// both endpoints' lists and is paired with its reverse.
+  /// the channel gets its receive half, joins both endpoints' lists and is
+  /// paired with its reverse.
   uint32_t channelId(NodeId From, NodeId To) {
     uint32_t &Known = ChanIds[net::channelKey(From, To)];
     if (Known)
@@ -480,18 +395,16 @@ struct RunState {
     Channel Ch;
     Ch.From = From;
     Ch.To = To;
-    std::vector<RecvHalf> &Recv = Shards[shardOf(To)].Recv;
-    Ch.RecvSlot = static_cast<uint32_t>(Recv.size());
     Recv.emplace_back();
     if (Arq) {
       Ch.DataStream = Link->streamIndex(From, To);
       Ch.AckStream = Link->streamIndex(To, From);
     }
-    NodeSlot &FromSlot = slotMut(From);
+    NodeSlot &FromSlot = Nodes.mut(From);
     Ch.NextOfFrom = FromSlot.Channels;
     FromSlot.Channels = Id;
     if (To != From) {
-      NodeSlot &ToSlot = slotMut(To);
+      NodeSlot &ToSlot = Nodes.mut(To);
       Ch.NextOfTo = ToSlot.Channels;
       ToSlot.Channels = Id;
     }
@@ -511,7 +424,7 @@ struct RunState {
     const Channel &Ch = Chans[C];
     if (Ch.Reverse == NoChannel)
       return 0;
-    return Shards[shardOf(Ch.From)].Recv[Chans[Ch.Reverse].RecvSlot].CumSeq;
+    return Recv[Ch.Reverse].CumSeq;
   }
 
   /// Appends one unacked frame to channel \p C's window.
@@ -581,7 +494,7 @@ struct RunState {
   void runDueTimers(SimTime T) {
     for (size_t I = TimerHead; I < DueEnd; ++I) {
       uint32_t C = Timers[I].Chan; // onTimer may grow Timers.
-      if (!slot(Chans[C].From).Dead)
+      if (!Nodes[Chans[C].From].Dead)
         onTimer(C, T);
     }
     TimerHead = DueEnd;
@@ -626,7 +539,7 @@ struct RunState {
     Ch.TimerArmed = false;
     if (Ch.Dead || Ch.WinHead == NoChannel)
       return; // All acked or peer gone: the timer lapses.
-    if (slot(Ch.To).Dead) {
+    if (Nodes[Ch.To].Dead) {
       purge(C);
       return;
     }
@@ -641,7 +554,6 @@ struct RunState {
       E.From = Ch.From;
       E.To = Ch.To;
       E.Chan = C;
-      E.RecvSlot = Ch.RecvSlot;
       E.ChanSeq = P.Seq;
       E.ChanAck = Cum;
       E.Frame = P.Payload.Frame;
@@ -657,7 +569,7 @@ struct RunState {
   /// the node opens later (a multicast in its crash round) are not
   /// purged: their first transmission still goes out.
   void purgeChannels(NodeId Node) {
-    for (uint32_t C = slot(Node).Channels; C != NoChannel;) {
+    for (uint32_t C = Nodes[Node].Channels; C != NoChannel;) {
       purge(C);
       const Channel &Ch = Chans[C];
       C = Ch.From == Node ? Ch.NextOfFrom : Ch.NextOfTo;
@@ -667,10 +579,9 @@ struct RunState {
 
 void ShardHost::multicast(NodeId From, const graph::Region &To,
                           const core::Message &M) {
-  // Encode once into a pooled buffer; recipients share the frame (and,
-  // after the merge's single decode, its attached message).
-  support::FrameRef Frame = R.Frames.acquire();
-  R.slotMut(From).Encoder.encode(M, Frame.mutableBytes());
+  // Recipients share the frame (and, after the merge's single decode, its
+  // attached message).
+  support::FrameRef Frame = R.Core.encode(From, M);
   for (NodeId Recipient : To)
     R.Out.Msgs.push_back(OutMsg{From, Recipient, Frame});
 }
@@ -691,53 +602,51 @@ core::Value ShardHost::selectValue(NodeId From, const graph::Region &View) {
   return R.Opts.SelectValue(From, View);
 }
 
-void RunState::processShard(const ShardSlice &Slice) {
-  Shard &Sh = Shards[Slice.Shard];
-  for (uint32_t I = Slice.Begin; I < Slice.End; ++I) {
-    Event &E = Round[I];
+void RunState::processRound() {
+  for (Event &E : Round) {
     switch (E.K) {
     case Event::Deliver:
-      if (slot(E.To).Dead) {
-        ++Sh.Dropped;
+      if (Nodes[E.To].Dead) {
+        ++Result.Stats.MessagesDroppedAtCrashed;
         break;
       }
       if (E.ChanSeq == 0) {
         // Zero-loss path, or the link-shaping-only configuration: the
         // frame carries no channel stamp.
-        ++Sh.Delivered;
-        liveNode(E.To).onDeliver(E.From, *E.Msg);
+        ++Result.Stats.MessagesDelivered;
+        Core.liveNode(E.To).onDeliver(E.From, *E.Msg);
         break;
       }
       if (!Arq) {
         // Stamp-and-verify (`link reliable`): a perfect link under the
         // FIFO clamp must deliver exactly in sequence.
-        RecvHalf &RH = Sh.Recv[E.RecvSlot];
+        RecvHalf &RH = Recv[E.Chan];
         assert(E.ChanSeq == RH.CumSeq + 1 &&
                "perfect link delivered out of sequence");
         RH.CumSeq = E.ChanSeq;
-        ++Sh.Delivered;
-        liveNode(E.To).onDeliver(E.From, *E.Msg);
+        ++Result.Stats.MessagesDelivered;
+        Core.liveNode(E.To).onDeliver(E.From, *E.Msg);
         break;
       }
       {
         // Full ARQ. The piggybacked ack retires the reverse channel's
         // window — staged, since send halves are merge-owned.
         Out.AcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, true});
-        RecvHalf &RH = Sh.Recv[E.RecvSlot];
+        RecvHalf &RH = Recv[E.Chan];
         switch (RH.accept(E.ChanSeq, Leg{std::move(E.Frame), E.Msg},
-                          Sh.Released)) {
+                          Released)) {
         case net::RecvVerdict::Duplicate:
-          ++Sh.ChanStats.DupSuppressed;
+          ++ChanStats.DupSuppressed;
           break;
         case net::RecvVerdict::Buffered:
-          ++Sh.ChanStats.Reordered;
+          ++ChanStats.Reordered;
           break;
         case net::RecvVerdict::Deliver:
-          for (Leg &L : Sh.Released) {
-            ++Sh.Delivered;
-            liveNode(E.To).onDeliver(E.From, *L.Msg);
+          for (Leg &L : Released) {
+            ++Result.Stats.MessagesDelivered;
+            Core.liveNode(E.To).onDeliver(E.From, *L.Msg);
           }
-          Sh.Released.clear();
+          Released.clear();
           break;
         }
         // Ack every data arrival, duplicates included — the original ack
@@ -748,17 +657,17 @@ void RunState::processShard(const ShardSlice &Slice) {
     case Event::AckFrame:
       // A pure ack died with a crashed recipient; otherwise stage it for
       // the merge to retire the acked channel's window.
-      if (!slot(E.To).Dead)
+      if (!Nodes[E.To].Dead)
         Out.AcksSeen.push_back(OutAckSeen{E.Chan, E.ChanAck, false});
       break;
     case Event::CrashNotice:
       // Crashed watchers receive nothing (strong accuracy is structural:
       // notices are only ever scheduled for real crashes).
-      if (!slot(E.To).Dead)
-        liveNode(E.To).onCrash(E.From);
+      if (!Nodes[E.To].Dead)
+        Core.liveNode(E.To).onCrash(E.From);
       break;
     case Event::CrashExec:
-      slotMut(E.To).Dead = true;
+      Nodes.mut(E.To).Dead = true;
       Out.Crashed.push_back(E.To);
       break;
     }
@@ -778,7 +687,9 @@ void RunState::merge(SimTime T) {
   // A target counts as "already crashed" for late subscriptions once its
   // CrashExec has run — i.e. its crash time is <= the round that just
   // finished.
-  auto CrashExecuted = [&](NodeId N) { return slot(N).CrashTime <= T; };
+  auto CrashExecuted = [&](NodeId N) {
+    return Core.slot(N).CrashTime <= T;
+  };
 
   // Crashes first, then subscriptions: a watcher subscribing in the same
   // round a target died is notified by the subscription path (the crash
@@ -824,23 +735,8 @@ void RunState::merge(SimTime T) {
   // Batched message delivery: one decode per frame, into the message
   // attached to its pooled buffer and shared by every recipient; FIFO
   // clamping per directed channel as in sim::Network.
-  const support::FrameBuf *LastFrame = nullptr;
-  const core::Message *Decoded = nullptr;
-  for (OutMsg &M : Out.Msgs) {
-    if (M.Frame.get() != LastFrame) {
-      // Legs of one multicast are contiguous in the outbox (frames are
-      // pool-recycled only after their last leg releases, and every
-      // frame of this batch was acquired before the merge, so the raw
-      // pointer cannot recur within one merge batch).
-      bool Current = false;
-      ParsedFrame &P = M.Frame.attachment<ParsedFrame>(Current);
-      if (!Current)
-        core::decodeOwnFrame(M.From, *M.Frame, Views, P.Msg);
-      Decoded = &P.Msg;
-      LastFrame = M.Frame.get();
-    }
-    sendLeg(M, Decoded, T);
-  }
+  for (OutMsg &M : Out.Msgs)
+    sendLeg(M, &Core.decoded(M.From, M.Frame), T);
 
   for (trace::DecisionRecord &D : Out.Decisions) {
     if (Opts.StreamingCheck)
@@ -867,7 +763,6 @@ void RunState::sendLeg(OutMsg &M, const core::Message *Msg, SimTime T) {
     uint32_t C = channelId(M.From, M.To);
     Channel &Ch = Chans[C];
     E.Chan = C;
-    E.RecvSlot = Ch.RecvSlot;
     E.ChanSeq = Ch.NextSeq++;
     E.ChanAck = recvCum(C);
     Bytes = static_cast<uint32_t>(
@@ -879,7 +774,7 @@ void RunState::sendLeg(OutMsg &M, const core::Message *Msg, SimTime T) {
       Result.SendLog.push_back(sim::SendRecord{T, M.From, M.To, Bytes});
     if (Opts.StreamingCheck)
       Opts.StreamingCheck->onSend(T, M.From, M.To, Bytes);
-    if (slot(M.To).Dead || Ch.Dead)
+    if (Nodes[M.To].Dead || Ch.Dead)
       return; // Channels to a crashed peer are abandoned.
     track(C, E.ChanSeq, T, Leg{E.Frame, E.Msg});
     if (!Ch.TimerArmed)
@@ -892,7 +787,6 @@ void RunState::sendLeg(OutMsg &M, const core::Message *Msg, SimTime T) {
     // Stamp-and-verify: sequence numbers ride along, nothing else.
     uint32_t C = channelId(M.From, M.To);
     E.Chan = C;
-    E.RecvSlot = Chans[C].RecvSlot;
     E.ChanSeq = Chans[C].NextSeq++;
     Bytes = static_cast<uint32_t>(
         net::wrappedFrameSize(PayloadBytes, E.ChanSeq, 0));
@@ -940,31 +834,11 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
 
   RunState Run(G, Options, NumShards, Job.Seed);
   Run.Result.Stats.SentByNode = sim::SendCounts(G.numNodes());
-  Run.Result.CrashTimes.assign(G.numNodes(), TimeNever);
 
-  // Crash plan: known up front, scheduled before anything runs. A node
-  // outside the topology or named twice is a malformed plan; it would
-  // index past the shard stores or double-crash a node, so die loudly in
-  // every build type (the DES runner does the same).
+  // Crash plan: known up front, admitted and scheduled before anything
+  // runs.
   for (const workload::TimedCrash &C : Job.Plan->Crashes) {
-    if (C.Node >= G.numNodes()) {
-      std::fprintf(stderr,
-                   "cliffedge: crash plan names node %u, outside the "
-                   "%u-node topology\n",
-                   C.Node, G.numNodes());
-      std::abort();
-    }
-    if (Run.Result.Faulty.contains(C.Node)) {
-      std::fprintf(stderr,
-                   "cliffedge: crash plan schedules node %u twice\n",
-                   C.Node);
-      std::abort();
-    }
-    Run.slotMut(C.Node).CrashTime = C.When;
-    Run.Result.CrashTimes[C.Node] = C.When;
-    Run.Result.Faulty.insert(C.Node);
-    if (Options.StreamingCheck)
-      Options.StreamingCheck->onCrash(C.Node, C.When);
+    Run.Core.admitCrash(C.Node, C.When);
     Event E;
     E.K = Event::CrashExec;
     E.From = C.Node;
@@ -976,8 +850,8 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   // No <init> wave and no start merge: each node runs <init> on its first
   // touch (liveNode), inside the round that delivers its first event.
 
-  // Round loop: open the earliest timestamp, process the busy shards,
-  // then merge (due retransmit timers run there).
+  // Round loop: open the earliest timestamp, process its events, then
+  // merge (due retransmit timers run there).
   uint64_t TotalProcessed = 0;
   bool Quiesced = true;
 
@@ -987,8 +861,7 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
       break;
     }
     TotalProcessed += Run.beginRound();
-    for (const ShardSlice &B : Run.Busy)
-      Run.processShard(B);
+    Run.processRound();
     Run.merge(Run.Now);
   }
 
@@ -1005,20 +878,8 @@ EngineResult ShardedEngine::run(const EngineJob &Job) {
   R.Events = TotalProcessed;
   R.Quiesced = Quiesced;
   R.Stats.Channel = Run.ChanStats;
-  for (Shard &Sh : Run.Shards) {
-    R.Stats.MessagesDelivered += Sh.Delivered;
-    R.Stats.MessagesDroppedAtCrashed += Sh.Dropped;
-    R.Stats.Channel.merge(Sh.ChanStats);
-  }
-  // Touched nodes only, gathered shard by shard, then put in id order.
-  for (Shard &Sh : Run.Shards)
-    Sh.Slots.forEachMaterialized([&R](size_t, const NodeSlot &S) {
-      if (S.Node.started() && !S.Node.maxView().empty())
-        R.FinalMaxViews.emplace_back(S.Node.id(), S.Node.maxView());
-    });
-  std::sort(R.FinalMaxViews.begin(), R.FinalMaxViews.end(),
-            [](const NodeMaxView &A, const NodeMaxView &B) {
-              return A.first < B.first;
-            });
+  R.Faulty = Run.Core.faulty();
+  R.CrashTimes = Run.Core.crashTimes();
+  R.FinalMaxViews = Run.Core.finalMaxViews();
   return R;
 }

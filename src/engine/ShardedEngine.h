@@ -9,16 +9,19 @@
 /// A sharded execution backend, the DES backend's replayable twin with a
 /// different interleaving:
 ///
-///  * nodes are partitioned over a fixed number of logical shards whose
-///    events share one run-wide calendar of per-tick buckets — no global
-///    heap, no per-event closure allocation (events are plain structs);
+///  * nodes are hosted on the run's trace::HostCore, the node store, codec
+///    and crash intake the DES runner uses too; each node belongs to one
+///    of a fixed number of logical shards (its id modulo the count),
+///    which is only the first sort key of its events. All events share
+///    one run-wide calendar of per-tick buckets — no global heap, no
+///    per-event closure allocation (events are plain structs);
 ///  * execution is round-based: all events of the globally earliest
-///    timestamp run shard by shard (handlers of distinct nodes at one
-///    instant commute — they only touch per-node state and emit outputs
-///    into the run's outbox);
+///    timestamp run in (shard, key, sequence) order (handlers of distinct
+///    nodes at one instant commute — they only touch per-node state and
+///    emit outputs into the run's outbox);
 ///  * between rounds a deterministic merge applies the outputs:
-///    cross-shard messages are delivered in batches (each multicast frame
-///    is encoded and decoded once, then shared by every recipient),
+///    messages are delivered in batches (each multicast frame is encoded
+///    and decoded once, then shared by every recipient),
 ///    failure-detector subscriptions and crash notifications are resolved
 ///    with the exactly-once discipline of detector::PerfectFailureDetector,
 ///    and every new event gets a seeded tie-break key assigned in
@@ -28,7 +31,7 @@
 ///    tie and fall through to send order (the FIFO channel contract of
 ///    sim::Network survives the shuffle). One (spec, seed) pair therefore
 ///    replays bit-for-bit on any machine, while different seeds explore
-///    genuinely different interleavings than the DES backend.
+///    genuinely different interleavings than the DES backend's.
 ///
 /// The engine runs on the calling thread. Parallelism lives one level up:
 /// campaigns and hunts run independent jobs on their --jobs threads.

@@ -20,8 +20,8 @@
 /// is immutable.
 ///
 /// A single-threaded receiver may attach a parsed form of the bytes to the
-/// buffer (FrameRef::attachment): the DES runner decodes each multicast
-/// frame once, on its first leg, and every later leg reads the attached
+/// buffer (FrameRef::attachment): trace::HostCore decodes each multicast
+/// frame once, on its first read, and every later leg reads the attached
 /// message. The attachment stays with the buffer across recycles, so its
 /// storage is warm for the next payload. Every acquire bumps a generation
 /// counter, which says whether the attachment still describes the current

@@ -25,14 +25,16 @@
 /// Pages are small on purpose. An outage on a wide grid touches a few ids
 /// in each of a handful of rows; a page the size of several rows makes the
 /// job write, free and stream through cache whole rows nobody reads. And
-/// 512 slots of the largest record kept here (the runners' per-node slot,
+/// 512 slots of the largest record kept here (the host core's per-node slot,
 /// under 100 bytes) stay below malloc's mmap threshold, so a page is a
 /// plain heap allocation whose cost never depends on what the process
 /// allocated and freed before.
 ///
 /// Pages never move once allocated: references returned by mut() stay
-/// valid for the store's lifetime. The store is not synchronized; the
-/// sharded engine gives each shard its own store.
+/// valid for the store's lifetime. The store is not synchronized; every
+/// owner is single-threaded. Keep a store keyed by the id itself: a
+/// store striped by some other key (say, one per shard, indexed by
+/// id / shards) spreads a local outage over a page per stripe.
 ///
 //===----------------------------------------------------------------------===//
 

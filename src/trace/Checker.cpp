@@ -26,7 +26,7 @@ CheckInput trace::makeCheckInput(const ScenarioRunner &Runner) {
   if (!In.Faulty.empty()) {
     In.CrashTimes.assign(size_t(In.Faulty.ids().back()) + 1, TimeNever);
     for (NodeId N : In.Faulty)
-      In.CrashTimes[N] = *Runner.crashTime(N);
+      In.CrashTimes[N] = Runner.hostCore().slot(N).CrashTime;
   }
   In.Decisions = Runner.decisions();
   In.SendLog = &Runner.sendLog();
@@ -269,7 +269,7 @@ CheckResult trace::checkAllBatch(const CheckInput &In) {
 CheckResult trace::checkNodeInvariants(const ScenarioRunner &Runner) {
   CheckResult Out;
   const graph::Region &Faulty = Runner.faultySet();
-  Runner.forEachTouchedNode([&](const core::CliffEdgeNode &Node) {
+  Runner.hostCore().forEachTouchedNode([&](const core::CliffEdgeNode &Node) {
     NodeId N = Node.id();
 
     if (!Node.locallyCrashed().isSubsetOf(Faulty))

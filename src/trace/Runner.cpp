@@ -7,13 +7,9 @@
 
 #include "trace/Runner.h"
 
-#include "core/Wire.h"
 #include "trace/StreamingChecker.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace cliffedge;
 using namespace cliffedge::trace;
@@ -33,17 +29,14 @@ RunnerOptions trace::withRunnerDefaults(RunnerOptions Opts) {
 }
 
 ScenarioRunner::ScenarioRunner(const graph::Graph &InG, RunnerOptions InOpts)
-    : G(InG), Opts(withRunnerDefaults(std::move(InOpts))),
-      Views(InG, Opts.NodeConfig.Ranking), Net(Sim, G.numNodes(),
-                                               Opts.Latency),
+    : G(InG), Opts(withRunnerDefaults(std::move(InOpts))), HostObj(*this),
+      Core(InG, Opts, HostObj), Net(Sim, G.numNodes(), Opts.Latency),
       // Graph-backed: the <init> wave's neighbour subscriptions stay
       // implicit in the topology instead of an O(E) table copy.
       Detector(Sim, G, Opts.DetectionDelay,
                [this](NodeId Watcher, NodeId Target) {
-                 liveNode(Watcher).onCrash(Target);
-               }),
-      HostObj(*this), Ctx(G, Views, Opts.NodeConfig, HostObj),
-      Slots(G.numNodes()) {
+                 Core.liveNode(Watcher).onCrash(Target);
+               }) {
   Net.setRecording(Opts.RecordSends);
   Net.setMonotoneLatency(Opts.MonotoneLatency);
   if (Opts.StreamingCheck)
@@ -61,37 +54,13 @@ ScenarioRunner::ScenarioRunner(const graph::Graph &InG, RunnerOptions InOpts)
   Sim.reserve(std::min<size_t>(size_t(G.numNodes()) * 4, size_t(1) << 18));
   Net.setDeliver(
       [this](NodeId From, NodeId To, const sim::Network::Frame &Bytes) {
-        liveNode(To).onDeliver(From, parsed(From, Bytes));
+        Core.liveNode(To).onDeliver(From, Core.decoded(From, Bytes));
       });
-}
-
-const core::Message &ScenarioRunner::parsed(NodeId From,
-                                            const support::FrameRef &Frame) {
-  // The legs of one multicast share a frame but interleave with other
-  // traffic under jittered latency: the first leg decodes into the
-  // message attached to the pooled buffer, every later leg reuses it.
-  bool Current = false;
-  ParsedFrame &P = Frame.attachment<ParsedFrame>(Current);
-  if (!Current)
-    core::decodeOwnFrame(From, *Frame, Views, P.Msg);
-  return P.Msg;
-}
-
-core::CliffEdgeNode &ScenarioRunner::liveNode(NodeId N) {
-  NodeSlot &S = Slots.mut(N);
-  if (!S.Node.started()) {
-    S.Node = core::CliffEdgeNode(N, Ctx);
-    S.Node.start();
-  }
-  return S.Node;
 }
 
 void ScenarioRunner::Host::multicast(NodeId From, const graph::Region &To,
                                      const core::Message &M) {
-  // Encode once into a pooled buffer; every recipient shares the same
-  // immutable refcounted frame.
-  support::FrameRef Frame = R.Pool.acquire();
-  R.Slots.mut(From).Encoder.encode(M, Frame.mutableBytes());
+  support::FrameRef Frame = R.Core.encode(From, M);
   for (NodeId Recipient : To)
     R.Net.send(From, Recipient, Frame);
 }
@@ -123,25 +92,7 @@ bool ScenarioRunner::Host::wantsEvents() const {
 }
 
 void ScenarioRunner::scheduleCrash(NodeId Node, SimTime When) {
-  // A malformed plan would index past the node store or crash a node
-  // twice (which the detector's own guard only asserts). Die loudly in
-  // every build type, like the wire-version guard above.
-  if (Node >= G.numNodes()) {
-    std::fprintf(stderr,
-                 "cliffedge: crash plan names node %u, outside the %u-node "
-                 "topology\n",
-                 Node, G.numNodes());
-    std::abort();
-  }
-  if (Faulty.contains(Node)) {
-    std::fprintf(stderr, "cliffedge: crash plan schedules node %u twice\n",
-                 Node);
-    std::abort();
-  }
-  Faulty.insert(Node);
-  Slots.mut(Node).CrashTime = When;
-  if (Opts.StreamingCheck)
-    Opts.StreamingCheck->onCrash(Node, When);
+  Core.admitCrash(Node, When);
   Sim.at(When, [this, Node]() {
     Net.crash(Node);
     Detector.nodeCrashed(Node);
@@ -156,18 +107,10 @@ void ScenarioRunner::scheduleCrashAll(const graph::Region &Nodes_,
 
 uint64_t ScenarioRunner::run() { return Sim.run(Opts.MaxEvents); }
 
-std::optional<SimTime> ScenarioRunner::crashTime(NodeId Node) const {
-  assert(Node < G.numNodes() && "node out of range");
-  SimTime T = Slots[Node].CrashTime;
-  if (T == TimeNever)
-    return std::nullopt;
-  return T;
-}
-
 core::CliffEdgeNode::Counters ScenarioRunner::totalCounters() const {
   core::CliffEdgeNode::Counters Total;
   // Untouched nodes count zero everywhere.
-  forEachTouchedNode([&Total](const core::CliffEdgeNode &Node) {
+  Core.forEachTouchedNode([&Total](const core::CliffEdgeNode &Node) {
     const core::CliffEdgeNode::Counters &C = Node.counters();
     Total.CrashesObserved += C.CrashesObserved;
     Total.Proposals += C.Proposals;

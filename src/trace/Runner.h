@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// ScenarioRunner wires a topology, the event simulator, the FIFO network,
-/// the perfect failure detector and one CliffEdgeNode per node, runs a
-/// crash schedule to quiescence, and collects everything the checkers and
+/// ScenarioRunner wires a topology, the event simulator, the FIFO network
+/// and the perfect failure detector around the host core (one
+/// CliffEdgeNode per touched node, see trace/HostCore.h), runs a crash
+/// schedule to quiescence, and collects everything the checkers and
 /// benches need: decisions (with times), transport statistics, the send
-/// log, and per-node protocol counters.
+/// log, and per-node protocol counters. engine::DesEngine runs every DES
+/// job through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,19 +21,16 @@
 
 #include "core/CliffEdgeNode.h"
 #include "core/ViewTable.h"
-#include "core/Wire.h"
 #include "detector/FailureDetector.h"
 #include "graph/Graph.h"
 #include "net/Link.h"
 #include "sim/Latency.h"
 #include "sim/Network.h"
 #include "sim/Simulator.h"
-#include "support/FramePool.h"
-#include "support/PagedStore.h"
+#include "trace/HostCore.h"
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace cliffedge {
@@ -164,29 +163,19 @@ public:
   }
 
   /// All nodes that were scheduled to crash (the run's faulty set).
-  const graph::Region &faultySet() const { return Faulty; }
-
-  /// Crash time of \p Node, if it was scheduled to crash.
-  std::optional<SimTime> crashTime(NodeId Node) const;
+  const graph::Region &faultySet() const { return Core.faulty(); }
 
   /// Introspection of one node. A node the failure wave never touched
-  /// reads as a pristine unbound shell (see forEachTouchedNode).
+  /// reads as a pristine unbound shell (see HostCore::forEachTouchedNode).
   const core::CliffEdgeNode &node(NodeId Node) const {
-    return Slots[Node].Node;
+    return Core.slot(Node).Node;
   }
 
-  /// Calls F(const CliffEdgeNode &) for every node the run bound — every
-  /// node that handled an event — in ascending id order. Every other node
-  /// is in its pristine start()-state. O(touched pages).
-  template <typename Fn> void forEachTouchedNode(Fn &&F) const {
-    Slots.forEachMaterialized([&](size_t, const NodeSlot &S) {
-      if (S.Node.started())
-        F(S.Node);
-    });
-  }
   const graph::Graph &topology() const { return G; }
   sim::Simulator &simulator() { return Sim; }
-  core::ViewTable &viewTable() { return Views; }
+  core::ViewTable &viewTable() { return Core.viewTable(); }
+  /// The run's node store, crash times and harvest.
+  const HostCore &hostCore() const { return Core; }
 
   /// Sum of a per-node counter over all (touched) nodes, e.g. total
   /// proposals.
@@ -196,33 +185,6 @@ public:
   SimTime lastDecisionTime() const;
 
 private:
-  /// Everything the runner keeps per node, in one paged store: a page
-  /// materializes on the first write to any of its nodes (a crash
-  /// scheduled, or a node bound on its first event).
-  struct NodeSlot {
-    /// Unbound until the node's first event; then bound and started.
-    core::CliffEdgeNode Node;
-    /// Per-sender announce state for the wire encoder.
-    core::WireEncoder Encoder;
-    SimTime CrashTime = TimeNever;
-  };
-
-  /// The node about to handle an event: binds and starts it on first
-  /// touch. Under the graph-backed detector <init> (line 4) only
-  /// re-subscribes implicit neighbour pairs, so deferring it to the first
-  /// event changes nothing observable.
-  core::CliffEdgeNode &liveNode(NodeId N);
-
-  /// A frame's decoded message, attached to its pooled buffer: decoded on
-  /// the first leg of a multicast, shared by every later leg, and
-  /// recycled (warm opinion storage) with the buffer.
-  struct ParsedFrame final : support::FrameAttachment {
-    core::Message Msg;
-  };
-
-  /// The decoded message of a delivered \p Frame sent by \p From.
-  const core::Message &parsed(NodeId From, const support::FrameRef &Frame);
-
   /// The runner's core::NodeHost: one object serves every node — effects
   /// arrive tagged with the acting node's id, so there is no per-node
   /// callback state at all (the old wiring carried five std::functions
@@ -242,28 +204,17 @@ private:
 
   const graph::Graph &G;
   RunnerOptions Opts;
-  /// Run-wide view intern table, shared by every node and the wire codec.
-  core::ViewTable Views;
-  /// Encode-side frame recycler. Declared before the simulator on
-  /// purpose: a runner destroyed mid-flight (MaxEvents abort, runUntil
-  /// cut) still has pending delivery events holding FrameRefs, and their
-  /// release must find the pool alive.
-  support::FramePool Pool;
+  Host HostObj;
+  /// Declared before the simulator on purpose: a runner destroyed
+  /// mid-flight (MaxEvents abort, runUntil cut) still has pending delivery
+  /// events holding FrameRefs, and their release must find the core's
+  /// frame pool alive.
+  HostCore Core;
   sim::Simulator Sim;
   sim::Network Net;
   detector::PerfectFailureDetector Detector;
-  Host HostObj;
-  /// The run's single execution domain: shared scratch and the NodeTables
-  /// slab (the DES run is single-threaded, so one context serves all
-  /// nodes). Must be declared before Slots and after everything Host
-  /// effects touch.
-  core::NodeContext Ctx;
-  /// Per-node shells, encoders and crash times; protocol tables live in
-  /// Ctx's slab. Both exist only where the failure wave went.
-  support::PagedStore<NodeSlot> Slots;
   std::vector<DecisionRecord> Decisions;
   std::vector<TimedProtocolEvent> ProtoEvents;
-  graph::Region Faulty;
 };
 
 } // namespace trace

@@ -293,6 +293,19 @@ def distill(gbench):
             derived[f"idle_job_alloc_mb_{backend}"] = round(value, 2)
     if len(idle) == 2:
         derived["idle_job_alloc_mb"] = round(max(idle.values()), 2)
+    # The failure wave's heap bytes: eight 3x3 outages on the idle job's
+    # world (BM_OutageJob) minus the idle job, sharded over DES. Both
+    # engines host nodes on one NodeId-keyed paged store, so the ratio
+    # stays near 1; a store striped by shard materializes a page per
+    # stripe per outage and doubles it. Deterministic, gated by --require.
+    wave = {}
+    for backend in ("des", "sharded"):
+        value = counters.get((f"BM_OutageJob/{backend}", "alloc_mb"))
+        if value is not None and backend in idle:
+            wave[backend] = value - idle[backend]
+    if len(wave) == 2 and wave["des"] > 0:
+        derived["outage_wave_alloc_sharded_over_des"] = round(
+            wave["sharded"] / wave["des"], 3)
     # Heap MB one torus:1000x1000 build requests: the final CSR plus any
     # scratch array the builder adds. Deterministic, gated by --require.
     world = counters.get(("BM_WorldBuild", "alloc_mb"))
@@ -314,7 +327,9 @@ WALL_CLOCK_DERIVED = {"engine_quake_des_speedup_vs_pr3"}
 # absolute times it never gates — the RSS ceiling is the committed bound.
 LOWER_IS_BETTER = {"engine_million_peak_rss_mb", "engine_million_des_ms",
                    "idle_job_alloc_mb", "idle_job_alloc_mb_des",
-                   "idle_job_alloc_mb_sharded", "dense_job_allocs_per_event",
+                   "idle_job_alloc_mb_sharded",
+                   "outage_wave_alloc_sharded_over_des",
+                   "dense_job_allocs_per_event",
                    "dense_job_allocs_per_event_sharded",
                    "lossy_job_allocs_per_event",
                    "event_queue_allocs_per_event", "world_build_alloc_mb",
